@@ -2,8 +2,8 @@
 //!
 //! The suite is split into a *regular* half (grid, path — uniform degrees,
 //! the skew optimization stays off) and a *skewed* half (rmat, star — hub
-//! aggregates, the degree-dedup optimization engages and the scatter
-//! sharding has real work to do). For each graph and each of the five
+//! aggregates, the degree-dedup optimization engages and hub rows are
+//! split across workers). For each graph and each of the five
 //! [`ConstructMethod`]s this times one coarse-graph construction on the
 //! host policy (median of `--runs`), plus a `hierarchy` variant that runs
 //! the full multilevel driver and reports the summed per-level
@@ -13,13 +13,13 @@
 //! Peak heap comes from an untimed [`mlcg_par::mem::measure`] run under
 //! the *serial* policy: allocator scopes attribute on the allocating
 //! thread only, so the serial run captures the full construction envelope
-//! (count arrays, scatter arrays, workspaces) deterministically, where a
+//! (grouping arrays, row runs, workspaces) deterministically, where a
 //! host-policy run would silently drop worker-side allocations.
 //!
 //! Star graphs use a synthetic grouped-leaves mapping (hub alone, leaves
 //! in groups of 8) rather than a HEC mapping: HEC collapses a star in one
 //! step, while the grouped mapping produces the adversarial shape the
-//! sharded scatter exists for — one coarse vertex receiving every entry.
+//! split-row merge exists for — one coarse row holding most of the work.
 //!
 //! Results go to `target/repro/BENCH_coarsen.json`; `--baseline FILE`
 //! gates every variant's `seconds` and `peak_bytes` like the other bench
@@ -57,7 +57,7 @@ struct Entry {
 }
 
 /// Leaves in groups of `group`, the hub alone: the coarse graph is again a
-/// star, and aggregate 0 receives every scattered entry.
+/// star, and aggregate 0's row holds half of all member work.
 fn star_mapping(n: usize, group: usize) -> Mapping {
     let map: Vec<u32> = (0..n as u32)
         .map(|u| {

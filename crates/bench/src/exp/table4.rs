@@ -13,10 +13,10 @@ pub fn run(ctx: &Ctx) {
     if ctx.trace_enabled() {
         // Two profiled HEC coarsens: the largest corpus graph (mapping
         // and sort kernels dominate; wide dispatches) and the densest one
-        // (Box125 stencils drive coarse rows past the hub-shard
-        // threshold, so construction's staged scatter + stitch kernels
-        // appear in the dispatch records). The reports render as Chrome
-        // traces with --trace-out (FILE and FILE-2.json).
+        // (hub rows take construction's skew path, so its transpose
+        // kernel appears in the dispatch records next to group, rows and
+        // place). The reports render as Chrome traces with --trace-out
+        // (FILE and FILE-2.json).
         let largest = corpus.iter().max_by_key(|ng| ng.graph.n());
         let densest = corpus
             .iter()

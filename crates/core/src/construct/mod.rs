@@ -25,7 +25,7 @@ pub mod spgemm;
 pub mod vertex;
 
 use crate::mapping::Mapping;
-use mlcg_graph::{Csr, VId, VWeight, Weight};
+use mlcg_graph::{Csr, VWeight};
 use mlcg_par::{
     parallel_fold_chunks, parallel_for, parallel_for_chunks, profile, ExecPolicy, TraceCollector,
 };
@@ -131,25 +131,11 @@ impl ConstructOptions {
 ///   level;
 /// - a workspace is `!Sync` by design (exclusive `&mut` access) — one per
 ///   concurrent coarsening.
-///
-/// Narrow (`u32`) and wide (`usize`) counting buffers are kept separately
-/// because the vertex pipeline monomorphizes over the count width (the
-/// adjacency-fits-32-bits rule); only the set matching the current graph
-/// is touched per level.
 #[derive(Default)]
 pub struct ConstructWorkspace {
-    pub(crate) narrow: vertex::WordBufs<u32>,
-    pub(crate) wide: vertex::WordBufs<usize>,
-    /// Adjacency-slot coarse-id mirror for the skew-optimized path.
-    pub(crate) cmap: Vec<u32>,
-    /// Intermediate scattered adjacencies (Algorithm 6's `F`).
-    pub(crate) f: Vec<VId>,
-    /// Intermediate scattered weights (Algorithm 6's `X`).
-    pub(crate) x: Vec<Weight>,
-    /// Pooled per-participant dedup scratch (sort padding, hash arenas).
-    pub(crate) dedup_pool: Vec<vertex::DedupScratch>,
-    /// Pooled per-participant hub staging buffers.
-    pub(crate) stage_pool: Vec<vertex::ScatterStage>,
+    /// Vertex-centric row build: member grouping, per-task row runs,
+    /// pooled accumulators, counting-sort histograms.
+    pub(crate) rows: vertex::Scratch,
     /// Pooled per-participant vertex-weight accumulators.
     pub(crate) vwgt_pool: Vec<Vec<VWeight>>,
     /// Global-sort strategy scratch (packed triples, head flags).
@@ -358,43 +344,72 @@ pub fn intra_aggregate_weight(policy: &ExecPolicy, g: &Csr, mapping: &Mapping) -
 pub mod testkit {
     use super::*;
     use crate::mapping::{find_mapping, MapMethod};
+    use mlcg_graph::{VId, Weight};
+    use std::collections::BTreeMap;
 
-    /// Construct with every method × skew threshold × policy, both with a
-    /// fresh workspace and through one shared (level-reused) workspace,
-    /// and assert every result is bit-identical and satisfies
-    /// conservation + CSR invariants. Returns the reference graph.
+    /// Naive reference construction — one `BTreeMap` accumulator per
+    /// coarse row, sharing no code with the strategies it checks.
+    pub fn reference(g: &Csr, mapping: &Mapping) -> Csr {
+        let map = &mapping.map;
+        let mut rows: Vec<BTreeMap<VId, Weight>> = vec![BTreeMap::new(); mapping.n_coarse];
+        let mut vwgt = vec![0; mapping.n_coarse];
+        for u in 0..g.n() {
+            let cu = map[u] as usize;
+            vwgt[cu] += g.vwgt()[u];
+            for (v, w) in g.edges(u as VId) {
+                let cv = map[v as usize];
+                if cv as usize != cu {
+                    *rows[cu].entry(cv).or_insert(0) += w;
+                }
+            }
+        }
+        let (mut xadj, mut adj, mut wgt) = (vec![0], Vec::new(), Vec::new());
+        for row in rows {
+            for (v, w) in row {
+                adj.push(v);
+                wgt.push(w);
+            }
+            xadj.push(adj.len());
+        }
+        Csr::from_parts_weighted(xadj, adj, wgt, vwgt)
+    }
+
+    /// Construct with every method × skew threshold {0, 10, ∞} × policy,
+    /// both with a fresh workspace and through one shared (level-reused)
+    /// workspace, and assert every result equals [`reference`]
+    /// bit for bit. Returns the reference graph.
     pub fn cross_check_policies(g: &Csr, mapping: &Mapping, policies: &[ExecPolicy]) -> Csr {
-        let mut results: Vec<(String, Csr)> = Vec::new();
+        let want = reference(g, mapping);
+        want.validate()
+            .unwrap_or_else(|e| panic!("reference coarse graph invalid: {e}"));
+        assert_eq!(
+            want.total_edge_weight() + intra_aggregate_weight(&ExecPolicy::serial(), g, mapping),
+            g.total_edge_weight(),
+            "reference does not conserve edge weight"
+        );
         let mut ws = ConstructWorkspace::new();
         for method in ConstructMethod::ALL {
-            // Exercise both the optimized and plain dedup paths.
-            for threshold in [0.0, f64::INFINITY] {
+            for threshold in [0.0, 10.0, f64::INFINITY] {
                 let opts = ConstructOptions {
                     method,
                     degree_dedup_skew_threshold: threshold,
                 };
                 for policy in policies {
                     let name = format!("{method:?}/thr={threshold}/{policy}");
-                    let c = construct_coarse_graph(policy, g, mapping, &opts);
-                    let reused = construct_coarse_graph_in(policy, g, mapping, &opts, &mut ws);
-                    assert_eq!(c, reused, "{name}: workspace reuse changed the graph");
-                    c.validate()
-                        .unwrap_or_else(|e| panic!("{name}: invalid coarse graph: {e}"));
-                    assert_eq!(c.n(), mapping.n_coarse);
-                    assert_eq!(
-                        c.total_edge_weight() + intra_aggregate_weight(policy, g, mapping),
-                        g.total_edge_weight(),
-                        "{name}: weight not conserved"
+                    let fresh = construct_coarse_graph(policy, g, mapping, &opts);
+                    assert!(
+                        fresh == want,
+                        "{name}: fresh workspace differs from the reference"
                     );
-                    assert_eq!(c.total_vwgt(), g.total_vwgt(), "{name}: vertex weight");
-                    results.push((name, c));
+                    let reused = construct_coarse_graph_in(policy, g, mapping, &opts, &mut ws);
+                    assert!(
+                        reused == want,
+                        "{name}: reused workspace differs from the reference"
+                    );
                 }
             }
         }
-        for (name, c) in &results[1..] {
-            assert_eq!(c, &results[0].1, "{name} disagrees with {}", results[0].0);
-        }
-        results.swap_remove(0).1
+        want
     }
 
     /// [`cross_check_policies`] under the serial policy only.

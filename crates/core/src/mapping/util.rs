@@ -56,11 +56,11 @@ where
     best
 }
 
-/// Flag-array element for the relabel prefix sum, mirroring construction's
-/// `CountWord`: `u32` whenever counts provably fit (labels and totals are
-/// bounded by `n ≤ u32::MAX`), `usize` as the defensive wide form. The
-/// narrow form halves the 8 B/vertex auxiliary footprint of the old
-/// `vec![0usize; n + 1]` flag on every graph the suite runs.
+/// Flag-array element for the relabel prefix sum: `u32` whenever counts
+/// provably fit (labels and totals are bounded by `n ≤ u32::MAX`),
+/// `usize` as the defensive wide form. The narrow form halves the
+/// 8 B/vertex auxiliary footprint of the old `vec![0usize; n + 1]` flag on
+/// every graph the suite runs.
 trait FlagWord: ScanElem {
     const ONE: Self;
     fn to_u32(self) -> u32;

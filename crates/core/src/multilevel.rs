@@ -215,7 +215,6 @@ pub fn coarsen(policy: &ExecPolicy, g: &Csr, opts: &CoarsenOptions) -> Hierarchy
     let mem = trace.heap_scope(|| "coarsen".to_string());
     let mut levels: Vec<Level> = Vec::new();
     let mut stats = CoarsenStats::default();
-    let mut current = g.clone();
     // One construction workspace for the whole hierarchy: levels after the
     // first reuse the previous level's scratch capacity instead of paying
     // the full construction allocation envelope again.
@@ -223,12 +222,18 @@ pub fn coarsen(policy: &ExecPolicy, g: &Csr, opts: &CoarsenOptions) -> Hierarchy
     // Same deal for the mapping phase: one workspace, reused every level.
     let mut mws = MapWorkspace::new();
     let mut i = 0u64;
-    while current.n() > opts.cutoff && levels.len() < opts.max_levels {
+    // Each level reads its input in place — `g` itself, then the previous
+    // level's graph — so the returned `fine` is the only copy made.
+    loop {
+        let current = levels.last().map_or(g, |l: &Level| &l.graph);
+        if current.n() <= opts.cutoff || levels.len() >= opts.max_levels {
+            break;
+        }
         let lvl = levels.len();
         let span = trace.timed_span(|| format!("mapping/{}/level{lvl}", opts.method.name()));
         let (mapping, map_stats) = find_mapping_in(
             policy,
-            &current,
+            current,
             opts.method,
             opts.seed.wrapping_add(i),
             &mut mws,
@@ -240,7 +245,7 @@ pub fn coarsen(policy: &ExecPolicy, g: &Csr, opts: &CoarsenOptions) -> Hierarchy
             .timed_span(|| format!("construct/{}/level{lvl}", opts.construction.method.name()));
         let coarse = construct_coarse_graph_traced_in(
             policy,
-            &current,
+            current,
             &mapping,
             &opts.construction,
             trace,
@@ -251,7 +256,7 @@ pub fn coarsen(policy: &ExecPolicy, g: &Csr, opts: &CoarsenOptions) -> Hierarchy
             policy,
             trace,
             &format!("construct/level{lvl}"),
-            &current,
+            current,
             &mapping,
             &coarse,
         );
@@ -275,7 +280,7 @@ pub fn coarsen(policy: &ExecPolicy, g: &Csr, opts: &CoarsenOptions) -> Hierarchy
                 current.n().saturating_sub(first)
             };
             trace.gauge(|| format!("map/{method}/queue_len"), queue_len as f64);
-            record_level_gauges(trace, lvl, &current, &mapping, &coarse);
+            record_level_gauges(trace, lvl, current, &mapping, &coarse);
         }
 
         // Stall guard: no progress means the method cannot coarsen further.
@@ -289,7 +294,6 @@ pub fn coarsen(policy: &ExecPolicy, g: &Csr, opts: &CoarsenOptions) -> Hierarchy
         }
         stats.map_seconds.push(t_map);
         stats.construct_seconds.push(t_con);
-        current = coarse.clone();
         levels.push(Level {
             mapping,
             graph: coarse,

@@ -7,8 +7,8 @@
 //!   workhorse (the paper uses radix sort on the CPU) and also backs the
 //!   sort-based parallel random permutation and the global-sort construction
 //!   baseline.
-//! - [`bitonic_sort_pairs`] / [`seg_sort_pairs`]: small fixed-network and
-//!   hybrid sorts for per-vertex adjacency segments, standing in for the
+//! - [`bitonic_sort_pairs`] / [`insertion_sort_pairs`]: small fixed-network
+//!   and insertion sorts for short per-vertex segments, standing in for the
 //!   team-level bitonic sorts the paper uses on the GPU.
 
 use crate::scan::exclusive_scan;
@@ -225,61 +225,6 @@ pub fn bitonic_sort_pairs<V: Copy + Default>(
     vals.copy_from_slice(&sv[..n]);
 }
 
-/// Insertion sort for tiny inputs, index-based std sort otherwise.
-///
-/// Indexes with `usize`, so it is safe at any length (the former `u32`
-/// index vector would silently wrap past 2^32 entries).
-pub fn insertion_or_std_sort<V: Copy>(keys: &mut [u32], vals: &mut [V]) {
-    if keys.len() <= 16 {
-        insertion_sort_pairs(keys, vals);
-    } else {
-        let mut idx: Vec<usize> = (0..keys.len()).collect();
-        idx.sort_unstable_by_key(|&i| keys[i]);
-        let ks: Vec<u32> = idx.iter().map(|&i| keys[i]).collect();
-        let vs: Vec<V> = idx.iter().map(|&i| vals[i]).collect();
-        keys.copy_from_slice(&ks);
-        vals.copy_from_slice(&vs);
-    }
-}
-
-/// Hybrid per-segment sort: insertion sort for tiny segments, otherwise
-/// bitonic on the device policy or pattern-defeating std sort on the host.
-///
-/// The host path indexes through the caller's `u32` scratch, so segments
-/// are bounded at `u32::MAX` entries (asserted). Per-vertex adjacency
-/// segments — the only callers — are orders of magnitude below this.
-pub fn seg_sort_pairs<V: Copy + Default>(
-    device: bool,
-    keys: &mut [u32],
-    vals: &mut [V],
-    scratch_k: &mut Vec<u32>,
-    scratch_v: &mut Vec<V>,
-) {
-    let n = keys.len();
-    assert!(
-        n <= u32::MAX as usize,
-        "seg_sort_pairs: segment of {n} entries exceeds the u32 index bound"
-    );
-    if n <= 16 {
-        insertion_sort_pairs(keys, vals);
-    } else if device {
-        bitonic_sort_pairs(keys, vals, scratch_k, scratch_v);
-    } else {
-        // Host path: index sort + permute, reusing the caller's scratch so
-        // per-segment calls are allocation-free. Values are permuted via
-        // the sorted index order; keys are then sorted directly — safe
-        // because equal keys are interchangeable for every caller (either
-        // keys are unique, or equal-key runs are merged downstream).
-        scratch_k.clear();
-        scratch_k.extend(0..n as u32);
-        scratch_k.sort_unstable_by_key(|&i| keys[i as usize]);
-        scratch_v.clear();
-        scratch_v.extend(scratch_k.iter().map(|&i| vals[i as usize]));
-        vals.copy_from_slice(&scratch_v[..n]);
-        keys.sort_unstable();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,24 +321,6 @@ mod tests {
                 keys.iter().zip(&vals).all(|(&k, &v)| v == k as u64 * 10),
                 "n={n}"
             );
-        }
-    }
-
-    #[test]
-    fn seg_sort_both_flavours() {
-        let mut sk = Vec::new();
-        let mut sv = Vec::new();
-        for device in [false, true] {
-            let mut rng = Xoshiro256pp::new(17);
-            for n in [0usize, 3, 16, 17, 64, 100] {
-                let mut keys: Vec<u32> = (0..n).map(|_| rng.next_below(50) as u32).collect();
-                let mut vals: Vec<u64> = keys.iter().map(|&k| k as u64).collect();
-                let mut expect = keys.clone();
-                expect.sort_unstable();
-                seg_sort_pairs(device, &mut keys, &mut vals, &mut sk, &mut sv);
-                assert_eq!(keys, expect, "device={device} n={n}");
-                assert!(keys.iter().zip(&vals).all(|(&k, &v)| v == k as u64));
-            }
         }
     }
 }

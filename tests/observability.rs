@@ -60,18 +60,44 @@ fn coarsen_trace_has_spans_counters_and_gauges_per_level() {
         assert_eq!(nv as usize, h.levels[lvl].graph.n());
     }
     assert!(h.trace.counter("mapping/edges_scanned") >= g.adj().len() as u64);
-    // Grids stay below the skew threshold, so the vertex-centric path runs
-    // exactly two full-adjacency traversals per level (fused count +
-    // scatter) while mapping runs one.
+    // Grids stay below the skew threshold; the vertex-centric row build
+    // reads the fine adjacency exactly once per level, as mapping does.
     assert_eq!(
         h.trace.counter("construct/edges_scanned"),
-        2 * h.trace.counter("mapping/edges_scanned")
+        h.trace.counter("mapping/edges_scanned")
     );
     assert!(h.trace.counter("mapping/passes") as usize >= h.num_levels());
     // No audits were requested, and the aggregate mapping time covers all
     // levels (span_seconds stops at `/` boundaries).
     assert!(h.trace.audits.is_empty());
     assert!(h.trace.span_seconds("mapping") > 0.0);
+}
+
+#[test]
+fn skewed_construction_reads_the_fine_adjacency_once_per_level() {
+    // Hub-heavy input: the degree-based skew optimization engages, and its
+    // mirror half comes from a transpose of the coarse rows, not from a
+    // second read of the fine adjacency.
+    let (g, _) = multilevel_coarsen::graph::cc::largest_component(
+        &multilevel_coarsen::graph::generators::rmat(11, 8, 0.57, 0.19, 0.19, 3),
+    );
+    assert!(g.skew_ratio() > ConstructOptions::default().degree_dedup_skew_threshold);
+    for cm in [
+        ConstructMethod::Sort,
+        ConstructMethod::Hash,
+        ConstructMethod::Hybrid,
+    ] {
+        let h = coarsen(
+            &ExecPolicy::host(),
+            &g,
+            &traced_opts(MapMethod::Hec, cm, false),
+        );
+        // Mapping counts each level's fine adjacency once (a discarded
+        // last level included), so equality pins construction to 1×.
+        let scanned = h.trace.counter("construct/edges_scanned");
+        assert!(scanned >= g.adj().len() as u64, "{cm:?}");
+        assert_eq!(scanned, h.trace.counter("mapping/edges_scanned"), "{cm:?}");
+    }
 }
 
 #[test]
