@@ -8,8 +8,8 @@ use mlcg_bench::harness::microbench;
 use mlcg_coarsen::{coarsen, CoarsenOptions};
 use mlcg_graph::cc::largest_component;
 use mlcg_graph::generators;
-use mlcg_par::ExecPolicy;
-use mlcg_partition::fm::fm_uncoarsen_frac;
+use mlcg_par::{ExecPolicy, TraceCollector};
+use mlcg_partition::fm::fm_uncoarsen_frac_traced;
 use mlcg_partition::{
     fm_bisect, fm_uncoarsen_frac_full_scan, metis_like, mtmetis_like, spectral_bisect, FmConfig,
     SpectralConfig,
@@ -63,7 +63,14 @@ fn main() {
             fm_uncoarsen_frac_full_scan(&h, &cfg, 0.5, 42)
         });
         let boundary = microbench(&group, "boundary", RUNS, || {
-            fm_uncoarsen_frac(&h, &cfg, 0.5, 42)
+            fm_uncoarsen_frac_traced(
+                &ExecPolicy::serial(),
+                &h,
+                &cfg,
+                0.5,
+                42,
+                &TraceCollector::disabled(),
+            )
         });
         println!("{group}: full-scan / boundary = {:.2}x", full / boundary);
     }

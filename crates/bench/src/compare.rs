@@ -295,9 +295,9 @@ pub struct Delta {
     /// `bench-parref`: `seq_boundary` / `par_coarse`), discovered from
     /// the baseline entry rather than hardcoded.
     pub variant: String,
-    /// Which member of the variant object is being gated —
-    /// `refine_seconds` / `seconds` for wall time, `peak_bytes` /
-    /// `bytes_per_edge` / `aux_bytes_per_edge` for memory.
+    /// Which member of the variant object is being gated — `seconds` for
+    /// time, `peak_bytes` / `bytes_per_edge` / `bytes_per_vertex` /
+    /// `aux_bytes_per_edge` for memory.
     pub metric: String,
     /// Baseline value.
     pub baseline: f64,
@@ -318,7 +318,7 @@ impl Delta {
     }
 
     fn fmt_value(&self, v: f64) -> String {
-        if self.metric.ends_with("seconds") {
+        if self.metric == TIMING {
             format!("{v:.4}s")
         } else if self.metric == "peak_bytes" {
             format!("{:.2}MiB", v / (1024.0 * 1024.0))
@@ -365,19 +365,17 @@ impl CompareOutcome {
 /// threshold: a timing regresses when
 /// `current > baseline * (1 + noise)`.
 ///
-/// Timing variants are discovered from each baseline graph entry: every
-/// member whose value is an object carrying a `refine_seconds` or
-/// `seconds` number is a variant, so the same gate serves `bench-fm`
-/// (`full_scan` / `boundary`), `bench-parref`
-/// (`seq_boundary` / `par_coarse`), and `bench-ingest`
-/// (`inmem` / `streamed` / `spmv_*`) without a hardcoded list.
+/// Variants are discovered from each baseline graph entry: every member
+/// whose value is an object carrying a `seconds` number is a variant, so
+/// the same gate serves every `bench-*` experiment without a hardcoded
+/// list.
 ///
 /// Memory members gate alongside the timing: when a baseline variant also
-/// carries `peak_bytes`, `bytes_per_edge`, or `aux_bytes_per_edge`, the
-/// current run must report them too and stay within the same noise
+/// carries `peak_bytes`, `bytes_per_edge`, `bytes_per_vertex`, or
+/// `aux_bytes_per_edge`, the current run must report them too and stay within the same noise
 /// threshold — a heap-footprint regression fails the gate exactly like a
 /// slowdown.
-pub fn compare_bench_fm(
+pub fn compare_bench(
     baseline: &Json,
     current: &Json,
     noise: f64,
@@ -407,11 +405,11 @@ pub fn compare_bench_fm(
         };
         let mut found = false;
         for (variant, bv) in members {
-            let Some((key, b)) = timing_member(bv) else {
-                continue; // not a timing variant (name / n / m / speedup)
+            let Some(b) = bv.get(TIMING).and_then(Json::as_f64) else {
+                continue; // not a variant (name / class / n / m)
             };
             found = true;
-            let mut gated: Vec<(&str, f64)> = vec![(key, b)];
+            let mut gated: Vec<(&str, f64)> = vec![(TIMING, b)];
             for mem_key in MEMORY_METRICS {
                 if let Some(mb) = bv.get(mem_key).and_then(Json::as_f64) {
                     gated.push((mem_key, mb));
@@ -444,6 +442,9 @@ pub fn compare_bench_fm(
     Ok(out)
 }
 
+/// The timing member of every variant object.
+const TIMING: &str = "seconds";
+
 /// Memory members gated alongside a variant's timing when the baseline
 /// records them.
 const MEMORY_METRICS: [&str; 4] = [
@@ -452,18 +453,6 @@ const MEMORY_METRICS: [&str; 4] = [
     "bytes_per_vertex",
     "aux_bytes_per_edge",
 ];
-
-/// The timing number inside a variant object, with the key it was found
-/// under (`refine_seconds` for the refinement benches, `seconds` for
-/// `bench-ingest`).
-fn timing_member(v: &Json) -> Option<(&'static str, f64)> {
-    for key in ["refine_seconds", "seconds"] {
-        if let Some(x) = v.get(key).and_then(Json::as_f64) {
-            return Some((key, x));
-        }
-    }
-    None
-}
 
 /// Load a baseline file, compare against the current results document,
 /// print the per-graph deltas, and return the process exit code (0 pass,
@@ -487,7 +476,7 @@ pub fn run_baseline_gate(baseline_path: &str, current_json: &str, noise: f64) ->
             return 2;
         }
     };
-    let outcome = match compare_bench_fm(&base, &cur, noise) {
+    let outcome = match compare_bench(&base, &cur, noise) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("baseline gate: {e}");
@@ -548,8 +537,8 @@ mod tests {
         Json::parse(&format!(
             r#"{{"experiment": "bench-fm", "graphs": [
                 {{"name": "g1", "n": 10, "m": 20,
-                  "full_scan": {{"cut": 5, "refine_seconds": {full}}},
-                  "boundary": {{"cut": 5, "refine_seconds": {boundary}}},
+                  "full_scan": {{"cut": 5, "seconds": {full}}},
+                  "boundary": {{"cut": 5, "seconds": {boundary}}},
                   "speedup": 1.0}}
             ]}}"#
         ))
@@ -559,11 +548,11 @@ mod tests {
     #[test]
     fn compare_passes_within_noise_and_fails_beyond() {
         let base = doc(0.100, 0.050);
-        let same = compare_bench_fm(&base, &doc(0.110, 0.055), 0.25).unwrap();
+        let same = compare_bench(&base, &doc(0.110, 0.055), 0.25).unwrap();
         assert!(same.passed());
         assert_eq!(same.deltas.len(), 2);
 
-        let slow = compare_bench_fm(&base, &doc(0.200, 0.050), 0.25).unwrap();
+        let slow = compare_bench(&base, &doc(0.200, 0.050), 0.25).unwrap();
         assert!(!slow.passed());
         let reg: Vec<_> = slow.deltas.iter().filter(|d| d.regressed).collect();
         assert_eq!(reg.len(), 1);
@@ -579,20 +568,20 @@ mod tests {
             Json::parse(&format!(
                 r#"{{"experiment": "bench-parref", "graphs": [
                     {{"name": "g1", "n": 10, "m": 20,
-                      "seq_boundary": {{"cut": 5, "refine_seconds": {seq}}},
-                      "par_coarse": {{"cut": 5, "refine_seconds": {par}}},
+                      "seq_boundary": {{"cut": 5, "seconds": {seq}}},
+                      "par_coarse": {{"cut": 5, "seconds": {par}}},
                       "speedup": 1.0}}
                 ]}}"#
             ))
             .unwrap()
         };
         let base = doc(0.100, 0.050);
-        let ok = compare_bench_fm(&base, &doc(0.100, 0.050), 0.25).unwrap();
+        let ok = compare_bench(&base, &doc(0.100, 0.050), 0.25).unwrap();
         assert!(ok.passed());
         let variants: Vec<&str> = ok.deltas.iter().map(|d| d.variant.as_str()).collect();
         assert_eq!(variants, vec!["par_coarse", "seq_boundary"]);
 
-        let slow = compare_bench_fm(&base, &doc(0.100, 0.500), 0.25).unwrap();
+        let slow = compare_bench(&base, &doc(0.100, 0.500), 0.25).unwrap();
         assert!(!slow.passed());
         let reg: Vec<_> = slow.deltas.iter().filter(|d| d.regressed).collect();
         assert_eq!(reg.len(), 1);
@@ -600,9 +589,7 @@ mod tests {
     }
 
     #[test]
-    fn plain_seconds_key_is_a_timing_variant() {
-        // bench-ingest variants carry "seconds" (build/SpMV wall time)
-        // instead of "refine_seconds"; the gate must treat them the same.
+    fn seconds_is_the_one_timing_key() {
         let doc = |inmem: f64, streamed: f64| {
             Json::parse(&format!(
                 r#"{{"experiment": "bench-ingest", "graphs": [
@@ -614,17 +601,25 @@ mod tests {
             .unwrap()
         };
         let base = doc(0.100, 0.120);
-        let ok = compare_bench_fm(&base, &doc(0.105, 0.125), 0.25).unwrap();
+        let ok = compare_bench(&base, &doc(0.105, 0.125), 0.25).unwrap();
         assert!(ok.passed());
         // Two timing deltas plus two aux_bytes_per_edge memory deltas.
         assert_eq!(ok.deltas.len(), 4);
 
-        let slow = compare_bench_fm(&base, &doc(0.100, 0.500), 0.25).unwrap();
+        let slow = compare_bench(&base, &doc(0.100, 0.500), 0.25).unwrap();
         assert!(!slow.passed());
         let reg: Vec<_> = slow.deltas.iter().filter(|d| d.regressed).collect();
         assert_eq!(reg.len(), 1);
         assert_eq!(reg[0].variant, "streamed");
         assert_eq!(reg[0].metric, "seconds");
+
+        // An entry timed under any other key has no variant to gate.
+        let stale = Json::parse(
+            r#"{"graphs": [{"name": "g1",
+                "boundary": {"cut": 1, "refine_seconds": 0.1}}]}"#,
+        )
+        .unwrap();
+        assert!(compare_bench(&stale, &stale, 0.25).is_err());
     }
 
     #[test]
@@ -642,11 +637,11 @@ mod tests {
             .unwrap()
         };
         let base = doc(1_000_000, 50.0);
-        let same = compare_bench_fm(&base, &doc(1_050_000, 52.5), 0.25).unwrap();
+        let same = compare_bench(&base, &doc(1_050_000, 52.5), 0.25).unwrap();
         assert!(same.passed());
         assert_eq!(same.deltas.len(), 3, "seconds + two memory metrics");
 
-        let bloated = compare_bench_fm(&base, &doc(2_000_000, 100.0), 0.25).unwrap();
+        let bloated = compare_bench(&base, &doc(2_000_000, 100.0), 0.25).unwrap();
         assert!(!bloated.passed());
         let reg: Vec<_> = bloated.deltas.iter().filter(|d| d.regressed).collect();
         assert_eq!(reg.len(), 2);
@@ -654,7 +649,7 @@ mod tests {
         assert!(reg.iter().any(|d| d.metric == "bytes_per_edge"));
 
         // Shrinking memory never regresses.
-        let lean = compare_bench_fm(&base, &doc(500_000, 25.0), 0.0).unwrap();
+        let lean = compare_bench(&base, &doc(500_000, 25.0), 0.0).unwrap();
         assert!(lean.passed());
 
         // A baseline with memory members requires the current run to
@@ -664,7 +659,7 @@ mod tests {
                 "streamed": {"seconds": 0.100}}]}"#,
         )
         .unwrap();
-        assert!(compare_bench_fm(&base, &no_mem, 0.25).is_err());
+        assert!(compare_bench(&base, &no_mem, 0.25).is_err());
     }
 
     #[test]
@@ -687,7 +682,7 @@ mod tests {
     #[test]
     fn faster_results_never_regress() {
         let base = doc(0.100, 0.050);
-        let fast = compare_bench_fm(&base, &doc(0.010, 0.005), 0.0).unwrap();
+        let fast = compare_bench(&base, &doc(0.010, 0.005), 0.0).unwrap();
         assert!(fast.passed());
     }
 
@@ -695,7 +690,7 @@ mod tests {
     fn missing_graph_fails_the_gate() {
         let base = doc(0.1, 0.1);
         let empty = Json::parse(r#"{"graphs": []}"#).unwrap();
-        let out = compare_bench_fm(&base, &empty, 0.25).unwrap();
+        let out = compare_bench(&base, &empty, 0.25).unwrap();
         assert!(!out.passed());
         assert_eq!(out.missing, vec!["g1".to_string()]);
     }
@@ -708,17 +703,17 @@ mod tests {
         std::fs::write(
             &path,
             r#"{"graphs": [{"name": "g1",
-                "full_scan": {"cut": 1, "refine_seconds": 0.1},
-                "boundary": {"cut": 1, "refine_seconds": 0.1}}]}"#,
+                "full_scan": {"cut": 1, "seconds": 0.1},
+                "boundary": {"cut": 1, "seconds": 0.1}}]}"#,
         )
         .unwrap();
         let p = path.to_str().unwrap();
         let cur_ok = r#"{"graphs": [{"name": "g1",
-            "full_scan": {"cut": 1, "refine_seconds": 0.1},
-            "boundary": {"cut": 1, "refine_seconds": 0.1}}]}"#;
+            "full_scan": {"cut": 1, "seconds": 0.1},
+            "boundary": {"cut": 1, "seconds": 0.1}}]}"#;
         let cur_slow = r#"{"graphs": [{"name": "g1",
-            "full_scan": {"cut": 1, "refine_seconds": 9.0},
-            "boundary": {"cut": 1, "refine_seconds": 0.1}}]}"#;
+            "full_scan": {"cut": 1, "seconds": 9.0},
+            "boundary": {"cut": 1, "seconds": 0.1}}]}"#;
         assert_eq!(run_baseline_gate(p, cur_ok, 0.25), 0);
         assert_eq!(run_baseline_gate(p, cur_slow, 0.25), 1);
         assert_eq!(run_baseline_gate("/nonexistent/base.json", cur_ok, 0.25), 2);

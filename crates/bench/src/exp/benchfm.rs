@@ -1,166 +1,45 @@
 //! `bench-fm` — FM refinement trajectory benchmark.
 //!
-//! Runs boundary-driven and full-scan FM uncoarsening on a fixed-seed
-//! graph suite (grid2d / rmat / path), records the cut and the
-//! refinement-only seconds for both, and writes the results to
-//! `target/repro/BENCH_fm.json` so the bench trajectory can be tracked
-//! across commits. `--quick` shrinks the suite for CI smoke runs; with
-//! `--trace`, one traced multilevel run per graph emits the per-pass
-//! `fm/boundary_size` gauges.
+//! Runs boundary-driven and full-scan FM uncoarsening on one shared
+//! hierarchy per suite graph (grid2d / rmat / path) and records the cut
+//! and the refinement-only seconds of both in
+//! `target/repro/BENCH_fm.json`. With `--trace`, the traced boundary run
+//! emits the per-pass `fm/pass*` spans and `fm/boundary_size` gauges.
 
-use crate::harness::{header, median_time, row, secs, Ctx};
+use crate::gated::{graphs, Bench, Family, Report, Suite, QUICK};
+use crate::harness::Ctx;
 use mlcg_coarsen::{coarsen, CoarsenOptions};
-use mlcg_graph::cc::largest_component;
-use mlcg_graph::generators as gen;
 use mlcg_graph::metrics::edge_cut;
-use mlcg_graph::Csr;
-use mlcg_partition::fm::{fm_uncoarsen_frac, fm_uncoarsen_frac_full_scan, FmConfig};
-use mlcg_partition::fm_bisect;
-use std::path::PathBuf;
+use mlcg_par::ExecPolicy;
+use mlcg_partition::fm::{fm_uncoarsen_frac_full_scan, fm_uncoarsen_frac_traced, FmConfig};
 
-struct Entry {
-    name: String,
-    n: usize,
-    m: usize,
-    full_cut: u64,
-    full_secs: f64,
-    full_peak_bytes: u64,
-    boundary_cut: u64,
-    boundary_secs: f64,
-    boundary_peak_bytes: u64,
-}
-
-fn suite(ctx: &Ctx) -> Vec<(String, Csr)> {
-    if ctx.quick {
-        vec![
-            ("grid2d-64x64".to_string(), gen::grid2d(64, 64)),
-            (
-                "rmat-10".to_string(),
-                largest_component(&gen::rmat(10, 8, 0.57, 0.19, 0.19, ctx.seed)).0,
-            ),
-            ("path-4096".to_string(), gen::path(4096)),
-        ]
-    } else {
-        vec![
-            ("grid2d-256x256".to_string(), gen::grid2d(256, 256)),
-            (
-                "rmat-13".to_string(),
-                largest_component(&gen::rmat(13, 8, 0.57, 0.19, 0.19, ctx.seed)).0,
-            ),
-            ("path-65536".to_string(), gen::path(65536)),
-        ]
-    }
-}
+const FULL: &Suite = &[
+    (Family::Grid, 256),
+    (Family::Rmat, 13),
+    (Family::Path, 65536),
+];
 
 /// Run the FM refinement benchmark, write `BENCH_fm.json`, and (with
-/// `--baseline FILE`) gate the timings against a committed baseline.
-/// Returns the process exit code (nonzero on regression).
+/// `--baseline FILE`) gate it. Returns the process exit code.
 pub fn run(ctx: &Ctx) -> i32 {
-    let policy = ctx.host();
+    let host = ctx.host();
+    let serial = ExecPolicy::serial();
     let cfg = FmConfig::default();
-    let mut entries = Vec::new();
-
-    for (name, g) in suite(ctx) {
-        let h = coarsen(&policy, &g, &CoarsenOptions::default());
-        let (full, full_secs) = median_time(ctx.runs, || {
-            fm_uncoarsen_frac_full_scan(&h, &cfg, 0.5, ctx.seed)
-        });
-        let (bpart, boundary_secs) =
-            median_time(ctx.runs, || fm_uncoarsen_frac(&h, &cfg, 0.5, ctx.seed));
-        // Heap attribution: one untimed run per variant inside an
-        // allocator scope (timing loops are left unscoped).
-        let (_, full_mem) =
-            mlcg_par::mem::measure(|| fm_uncoarsen_frac_full_scan(&h, &cfg, 0.5, ctx.seed));
-        let (_, bnd_mem) = mlcg_par::mem::measure(|| fm_uncoarsen_frac(&h, &cfg, 0.5, ctx.seed));
-        entries.push(Entry {
-            name: name.clone(),
-            n: g.n(),
-            m: g.m(),
-            full_cut: full.1,
-            full_secs,
-            full_peak_bytes: full_mem.peak_bytes,
-            boundary_cut: edge_cut(&g, &bpart),
-            boundary_secs,
-            boundary_peak_bytes: bnd_mem.peak_bytes,
-        });
-        if ctx.trace_enabled() {
-            let opts = CoarsenOptions {
-                trace: ctx.trace_collector(),
-                seed: ctx.seed,
-                ..Default::default()
-            };
-            let _p = mlcg_par::profile::install(&opts.trace);
-            let r = fm_bisect(&policy, &g, &opts, &cfg, ctx.seed);
-            ctx.emit_trace(&format!("bench-fm/{name}"), &r.trace);
-        }
+    let mut bench = Bench::new(ctx, "bench-fm", ctx.host());
+    for sg in graphs(ctx, QUICK, FULL) {
+        let g = &sg.g;
+        let h = coarsen(&host, g, &CoarsenOptions::default());
+        bench.graph(&sg);
+        bench.variant(
+            "full_scan",
+            |_, _| fm_uncoarsen_frac_full_scan(&h, &cfg, 0.5, ctx.seed),
+            |(_, cut)| Report::fields(vec![("cut", cut.to_string())]),
+        );
+        bench.variant(
+            "boundary",
+            |_, trace| fm_uncoarsen_frac_traced(&serial, &h, &cfg, 0.5, ctx.seed, trace),
+            |part| Report::fields(vec![("cut", edge_cut(g, part).to_string())]),
+        );
     }
-
-    header(&[
-        "graph",
-        "n",
-        "m",
-        "full cut",
-        "full s",
-        "full peak",
-        "boundary cut",
-        "boundary s",
-        "bnd peak",
-        "speedup",
-    ]);
-    for e in &entries {
-        row(&[
-            e.name.clone(),
-            e.n.to_string(),
-            e.m.to_string(),
-            e.full_cut.to_string(),
-            secs(e.full_secs),
-            mlcg_par::mem::fmt_bytes(e.full_peak_bytes),
-            e.boundary_cut.to_string(),
-            secs(e.boundary_secs),
-            mlcg_par::mem::fmt_bytes(e.boundary_peak_bytes),
-            format!("{:.2}x", e.full_secs / e.boundary_secs.max(1e-12)),
-        ]);
-    }
-
-    // Hand-rolled JSON (the workspace is dependency-free).
-    let mut json = String::from("{\n");
-    json.push_str("  \"experiment\": \"bench-fm\",\n");
-    json.push_str(&format!("  \"quick\": {},\n", ctx.quick));
-    json.push_str(&format!("  \"seed\": {},\n", ctx.seed));
-    json.push_str(&format!("  \"runs\": {},\n", ctx.runs));
-    json.push_str("  \"graphs\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"n\": {}, \"m\": {}, \
-             \"full_scan\": {{\"cut\": {}, \"refine_seconds\": {:.6}, \
-             \"peak_bytes\": {}, \"bytes_per_edge\": {:.2}}}, \
-             \"boundary\": {{\"cut\": {}, \"refine_seconds\": {:.6}, \
-             \"peak_bytes\": {}, \"bytes_per_edge\": {:.2}}}, \
-             \"speedup\": {:.3}}}{}\n",
-            e.name,
-            e.n,
-            e.m,
-            e.full_cut,
-            e.full_secs,
-            e.full_peak_bytes,
-            e.full_peak_bytes as f64 / e.m.max(1) as f64,
-            e.boundary_cut,
-            e.boundary_secs,
-            e.boundary_peak_bytes,
-            e.boundary_peak_bytes as f64 / e.m.max(1) as f64,
-            e.full_secs / e.boundary_secs.max(1e-12),
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let dir = PathBuf::from("target/repro");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("BENCH_fm.json");
-    std::fs::write(&path, &json).unwrap();
-    println!("bench-fm: results written to {}", path.display());
-
-    match &ctx.baseline {
-        Some(baseline) => crate::compare::run_baseline_gate(baseline, &json, ctx.noise),
-        None => 0,
-    }
+    bench.finish()
 }

@@ -1,100 +1,47 @@
 //! `bench-kway` — direct k-way refinement benchmark.
 //!
-//! Runs a fixed-seed graph suite at `k = 8` through two variants that
-//! share the recursive-bisection partition per graph:
+//! Runs each suite graph at `k = 8` through two variants:
 //!
 //! * `recursive` — recursive FM bisection only
 //!   ([`kway_partition_cfg`] with `direct_refine: false`); its recorded
 //!   seconds are the whole partition (coarsen + bisect cascade), the
 //!   quantity the post-pass rides on top of;
 //! * `direct_refine` — the direct k-way post-pass
-//!   ([`kway_direct_refine`]) applied to a clone of the recursive
+//!   ([`kway_direct_refine`]) applied to a clone of the last recursive
 //!   labeling; its recorded seconds are the refinement alone, so the
 //!   gate tracks the marginal cost of seeing all k labels jointly.
 //!
-//! Records per-graph cut, imbalance, and median seconds, writes
-//! `target/repro/BENCH_kway.json`, and (with `--baseline FILE`) gates
-//! the timings. With `--trace`, one traced refinement per graph prints
-//! the `kwayref/rounds` counter and emits the `kwayref/*` gauges plus
+//! Records cut, imbalance and median seconds in
+//! `target/repro/BENCH_kway.json`. With `--trace`, the traced refinement
+//! emits the `kwayref/rounds` counter, the `kwayref/*` gauges and the
 //! `par_for/kwayref/*` dispatch records.
 
-use crate::harness::{header, median_time, row, secs, Ctx};
+use crate::gated::{graphs, Bench, Family, Report, Suite, QUICK};
+use crate::harness::Ctx;
 use mlcg_coarsen::CoarsenOptions;
-use mlcg_graph::cc::largest_component;
-use mlcg_graph::generators as gen;
 use mlcg_graph::metrics::edge_cut;
-use mlcg_graph::Csr;
-use mlcg_par::TraceCollector;
 use mlcg_partition::fm::FmConfig;
 use mlcg_partition::kway::{kway_imbalance, kway_partition_cfg, KwayConfig};
 use mlcg_partition::kwayref::{kway_direct_refine, KwayRefineConfig};
-use std::path::PathBuf;
 
 /// Every suite graph is split into this many parts.
 const K: usize = 8;
 
-/// Forced crossover threshold in `--quick` mode, mirroring
-/// `bench-parref`: the production default (`HOST_GRAIN × workers`) never
-/// fires on the quick suite's small graphs, and the CI gate exists to
-/// track the parallel k-way rounds path. The baseline is recorded the
-/// same way, so the small-frontier overhead cancels out.
-const CROSSOVER_QUICK: usize = 512;
+/// Sized so the k-way boundary (≈ (k−1)× the bisection boundary)
+/// crosses the full-suite dispatch grain on the rmat instance while
+/// grid and path document the sequential-path half of the crossover
+/// story, as in bench-parref.
+const FULL: &Suite = &[
+    (Family::Grid, 256),
+    (Family::Rmat, 14),
+    (Family::Path, 65536),
+];
 
-/// Crossover threshold for the full suite: one dispatch grain — the
-/// engine engages exactly where a dispatch can go wide.
-const CROSSOVER_FULL: usize = 2048;
-
-struct Entry {
-    name: String,
-    n: usize,
-    m: usize,
-    rec_cut: u64,
-    rec_imb: f64,
-    rec_secs: f64,
-    rec_peak_bytes: u64,
-    ref_cut: u64,
-    ref_imb: f64,
-    ref_secs: f64,
-    ref_peak_bytes: u64,
-}
-
-fn suite(ctx: &Ctx) -> Vec<(String, Csr)> {
-    if ctx.quick {
-        vec![
-            ("grid2d-64x64".to_string(), gen::grid2d(64, 64)),
-            (
-                "rmat-10".to_string(),
-                largest_component(&gen::rmat(10, 8, 0.57, 0.19, 0.19, ctx.seed)).0,
-            ),
-            ("path-4096".to_string(), gen::path(4096)),
-        ]
-    } else {
-        // Sized so the k-way boundary (≈ (k−1)× the bisection boundary)
-        // crosses the full-suite dispatch grain on the rmat instance
-        // while grid and path document the sequential-path half of the
-        // crossover story, as in bench-parref.
-        vec![
-            ("grid2d-256x256".to_string(), gen::grid2d(256, 256)),
-            (
-                "rmat-14".to_string(),
-                largest_component(&gen::rmat(14, 8, 0.57, 0.19, 0.19, ctx.seed)).0,
-            ),
-            ("path-65536".to_string(), gen::path(65536)),
-        ]
-    }
-}
-
-/// Run the k-way refinement benchmark, write `BENCH_kway.json`, and
-/// (with `--baseline FILE`) gate the timings against a committed
-/// baseline. Returns the process exit code (nonzero on regression).
+/// Run the k-way refinement benchmark, write `BENCH_kway.json`, and (with
+/// `--baseline FILE`) gate it. Returns the process exit code.
 pub fn run(ctx: &Ctx) -> i32 {
-    let policy = ctx.host();
     let fm = FmConfig::default();
-    let crossover = if ctx.quick {
-        CROSSOVER_QUICK
-    } else {
-        CROSSOVER_FULL
-    };
+    let crossover = super::benchparref::crossover(ctx);
     let refine_cfg = KwayRefineConfig {
         epsilon: fm.epsilon,
         crossover_frontier: Some(crossover),
@@ -104,149 +51,35 @@ pub fn run(ctx: &Ctx) -> i32 {
         direct_refine: false,
         ..Default::default()
     };
-    let mut entries = Vec::new();
-
-    for (name, g) in suite(ctx) {
-        let (rec, rec_secs) = median_time(ctx.runs, || {
-            kway_partition_cfg(
-                &policy,
-                &g,
-                K,
-                &CoarsenOptions::default(),
-                &fm,
-                &recursive_cfg,
-                ctx.seed,
-                &TraceCollector::disabled(),
-            )
-        });
-        let (ref_part, ref_secs) = median_time(ctx.runs, || {
-            let mut part = rec.part.clone();
-            kway_direct_refine(
-                &policy,
-                &g,
-                &mut part,
-                K,
-                &refine_cfg,
-                &TraceCollector::disabled(),
-            );
-            part
-        });
-        // Heap attribution: one untimed run per variant inside an
-        // allocator scope (timing loops are left unscoped).
-        let (_, rec_mem) = mlcg_par::mem::measure(|| {
-            kway_partition_cfg(
-                &policy,
-                &g,
-                K,
-                &CoarsenOptions::default(),
-                &fm,
-                &recursive_cfg,
-                ctx.seed,
-                &TraceCollector::disabled(),
-            )
-        });
-        let (_, ref_mem) = mlcg_par::mem::measure(|| {
-            let mut part = rec.part.clone();
-            kway_direct_refine(
-                &policy,
-                &g,
-                &mut part,
-                K,
-                &refine_cfg,
-                &TraceCollector::disabled(),
-            );
-            part
-        });
-        entries.push(Entry {
-            name: name.clone(),
-            n: g.n(),
-            m: g.m(),
-            rec_cut: rec.cut,
-            rec_imb: rec.imbalance,
-            rec_secs,
-            rec_peak_bytes: rec_mem.peak_bytes,
-            ref_cut: edge_cut(&g, &ref_part),
-            ref_imb: kway_imbalance(&g, &ref_part, K),
-            ref_secs,
-            ref_peak_bytes: ref_mem.peak_bytes,
-        });
-        if ctx.trace_enabled() {
-            let trace = ctx.trace_collector();
-            let _p = mlcg_par::profile::install(&trace);
-            let mut part = rec.part.clone();
-            kway_direct_refine(&policy, &g, &mut part, K, &refine_cfg, &trace);
-            let report = trace.report();
-            println!(
-                "bench-kway/{name}: kwayref/rounds = {}",
-                report.counter("kwayref/rounds")
-            );
-            ctx.emit_trace(&format!("bench-kway/{name}"), &report);
-        }
+    let mut bench = Bench::new(ctx, "bench-kway", ctx.host())
+        .param("k", K)
+        .param("crossover_frontier", crossover);
+    for sg in graphs(ctx, QUICK, FULL) {
+        let g = &sg.g;
+        let quality = |cut: u64, imbalance: f64| {
+            Report::fields(vec![
+                ("cut", cut.to_string()),
+                ("imbalance", format!("{imbalance:.4}")),
+            ])
+        };
+        bench.graph(&sg);
+        let (rec, _) = bench.variant(
+            "recursive",
+            |p, trace| {
+                let opts = CoarsenOptions::default();
+                kway_partition_cfg(p, g, K, &opts, &fm, &recursive_cfg, ctx.seed, trace)
+            },
+            |r| quality(r.cut, r.imbalance),
+        );
+        bench.variant(
+            "direct_refine",
+            |p, trace| {
+                let mut part = rec.part.clone();
+                kway_direct_refine(p, g, &mut part, K, &refine_cfg, trace);
+                part
+            },
+            |part| quality(edge_cut(g, part), kway_imbalance(g, part, K)),
+        );
     }
-
-    header(&[
-        "graph", "n", "m", "rec cut", "rec imb", "rec s", "rec peak", "kway cut", "kway imb",
-        "refine s", "ref peak",
-    ]);
-    for e in &entries {
-        row(&[
-            e.name.clone(),
-            e.n.to_string(),
-            e.m.to_string(),
-            e.rec_cut.to_string(),
-            format!("{:.3}", e.rec_imb),
-            secs(e.rec_secs),
-            mlcg_par::mem::fmt_bytes(e.rec_peak_bytes),
-            e.ref_cut.to_string(),
-            format!("{:.3}", e.ref_imb),
-            secs(e.ref_secs),
-            mlcg_par::mem::fmt_bytes(e.ref_peak_bytes),
-        ]);
-    }
-
-    // Hand-rolled JSON (the workspace is dependency-free).
-    let mut json = String::from("{\n");
-    json.push_str("  \"experiment\": \"bench-kway\",\n");
-    json.push_str(&format!("  \"quick\": {},\n", ctx.quick));
-    json.push_str(&format!("  \"seed\": {},\n", ctx.seed));
-    json.push_str(&format!("  \"runs\": {},\n", ctx.runs));
-    json.push_str(&format!("  \"k\": {K},\n"));
-    json.push_str(&format!("  \"crossover_frontier\": {crossover},\n"));
-    json.push_str("  \"graphs\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"n\": {}, \"m\": {}, \
-             \"recursive\": {{\"cut\": {}, \"imbalance\": {:.4}, \"refine_seconds\": {:.6}, \
-             \"peak_bytes\": {}, \"bytes_per_edge\": {:.2}}}, \
-             \"direct_refine\": {{\"cut\": {}, \"imbalance\": {:.4}, \"refine_seconds\": {:.6}, \
-             \"peak_bytes\": {}, \"bytes_per_edge\": {:.2}}}, \
-             \"cut_improvement\": {:.4}}}{}\n",
-            e.name,
-            e.n,
-            e.m,
-            e.rec_cut,
-            e.rec_imb,
-            e.rec_secs,
-            e.rec_peak_bytes,
-            e.rec_peak_bytes as f64 / e.m.max(1) as f64,
-            e.ref_cut,
-            e.ref_imb,
-            e.ref_secs,
-            e.ref_peak_bytes,
-            e.ref_peak_bytes as f64 / e.m.max(1) as f64,
-            1.0 - e.ref_cut as f64 / e.rec_cut.max(1) as f64,
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let dir = PathBuf::from("target/repro");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("BENCH_kway.json");
-    std::fs::write(&path, &json).unwrap();
-    println!("bench-kway: results written to {}", path.display());
-
-    match &ctx.baseline {
-        Some(baseline) => crate::compare::run_baseline_gate(baseline, &json, ctx.noise),
-        None => 0,
-    }
+    bench.finish()
 }

@@ -1,206 +1,73 @@
 //! `bench-map` — mapping-phase benchmark and gate.
 //!
 //! The suite is split into a *regular* half (grid, path — uniform degrees,
-//! the HEC-family pass loop converges immediately) and a *hub-heavy* half
+//! the HEC-family pass loop converges immediately) and a *skewed* half
 //! (rmat, star — skewed degrees, where the work queue stays long and the
 //! parallel compaction plus the fused relabel have real work to do). For
 //! each graph and each of the paper's Table IV methods this times one
-//! `find_mapping_in` on the host policy through a warm [`MapWorkspace`]
-//! (median of `--runs`), plus a `hierarchy` variant that runs the full
-//! multilevel driver and reports the summed per-level mapping seconds —
-//! the number the level-reused workspace improves.
+//! `find_mapping_in` through the variant's own [`MapWorkspace`], plus a
+//! `hierarchy` variant that runs the full multilevel driver and reports
+//! the summed per-level mapping seconds — the number the level-reused
+//! workspace improves. Peak heap is measured under the serial policy and
+//! normalized per vertex (`bytes_per_vertex`).
 //!
-//! Peak heap comes from an untimed [`mlcg_par::mem::measure`] run under
-//! the *serial* policy through the same warm workspace: allocator scopes
-//! attribute on the allocating thread only, so the serial run captures the
-//! full mapping envelope (output labels, relabel flag, per-call sort
-//! scratch) deterministically, where a host-policy run would silently drop
-//! worker-side allocations. The warm-up run doubles as the suite's
-//! fresh-vs-shared workspace identity cross-check.
+//! Each method's labels are then asserted unchanged through the used
+//! workspace, and `mis2`, the one schedule-deterministic Table IV method,
+//! is asserted to reproduce them under the host policy.
 //!
-//! Results go to `target/repro/BENCH_map.json`; `--baseline FILE` gates
-//! every variant's `seconds`, `peak_bytes`, and `bytes_per_vertex` like
-//! the other bench gates.
+//! Results go to `target/repro/BENCH_map.json`.
 
-use crate::harness::{header, median_time, row, Ctx};
+use crate::gated::{graphs, Bench, Report, FULL_HALVES, QUICK_HALVES};
+use crate::harness::Ctx;
 use mlcg_coarsen::{
     coarsen, find_mapping, find_mapping_in, CoarsenOptions, MapMethod, MapWorkspace,
 };
-use mlcg_graph::cc::largest_component;
-use mlcg_graph::generators as gen;
-use mlcg_graph::Csr;
 use mlcg_par::{ExecPolicy, TraceCollector};
-use std::path::PathBuf;
-
-struct Variant {
-    key: String,
-    seconds: f64,
-    peak_bytes: u64,
-}
-
-/// Floor for recorded timings: the gate is relative
-/// (`current > baseline * (1 + noise)`), so a near-zero median in the
-/// committed baseline would fail on any positive current value. 10 µs is
-/// far below every real suite timing and far above timer noise.
-const SECONDS_FLOOR: f64 = 1e-5;
-
-struct Entry {
-    name: String,
-    class: &'static str, // "regular" | "hub-heavy"
-    n: usize,
-    m: usize,
-    variants: Vec<Variant>,
-}
-
-fn suite(ctx: &Ctx) -> Vec<(String, &'static str, Csr)> {
-    if ctx.quick {
-        vec![
-            ("grid2d-64x64".into(), "regular", gen::grid2d(64, 64)),
-            ("path-4096".into(), "regular", gen::path(4096)),
-            (
-                "rmat-10".into(),
-                "hub-heavy",
-                largest_component(&gen::rmat(10, 8, 0.57, 0.19, 0.19, ctx.seed)).0,
-            ),
-            ("star-8192".into(), "hub-heavy", gen::star(8192)),
-        ]
-    } else {
-        vec![
-            ("grid2d-512x512".into(), "regular", gen::grid2d(512, 512)),
-            ("path-65536".into(), "regular", gen::path(65536)),
-            (
-                "rmat-15".into(),
-                "hub-heavy",
-                largest_component(&gen::rmat(15, 8, 0.57, 0.19, 0.19, ctx.seed)).0,
-            ),
-            ("star-262144".into(), "hub-heavy", gen::star(262144)),
-        ]
-    }
-}
 
 /// Run the mapping benchmark, write `BENCH_map.json`, and (with
-/// `--baseline FILE`) gate seconds and peak bytes against a committed
-/// baseline. Returns the process exit code (nonzero on regression).
+/// `--baseline FILE`) gate it. Returns the process exit code.
 pub fn run(ctx: &Ctx) -> i32 {
-    let host = ctx.host();
     let serial = ExecPolicy::serial();
-    let mut entries = Vec::new();
-
-    for (name, class, g) in suite(ctx) {
-        let mut variants = Vec::new();
-
+    let mut bench = Bench::new(ctx, "bench-map", serial.clone()).per_vertex();
+    for sg in graphs(ctx, QUICK_HALVES, FULL_HALVES) {
+        let g = &sg.g;
+        bench.graph(&sg);
         for method in MapMethod::TABLE4 {
             let mut ws = MapWorkspace::new();
-            // Warm-up (pool spin-up, page faults, workspace sizing) doubles
-            // as the suite's fresh-vs-shared identity cross-check: a shared
-            // workspace must never change the serial result.
-            let (fresh, _) = find_mapping(&serial, &g, method, ctx.seed);
-            let (shared, _) = find_mapping_in(&serial, &g, method, ctx.seed, &mut ws);
+            let ((parallel, _), _) = bench.variant(
+                method.name(),
+                |p, _| find_mapping_in(p, g, method, ctx.seed, &mut ws),
+                |_| Report::default(),
+            );
+            // The workspace every measured call went through must not
+            // change the serial labels.
+            let (fresh, _) = find_mapping(&serial, g, method, ctx.seed);
+            let (shared, _) = find_mapping_in(&serial, g, method, ctx.seed, &mut ws);
             assert_eq!(
                 fresh,
                 shared,
-                "{name}: {} differs between fresh and shared workspace",
+                "{}: {} differs between fresh and shared workspace",
+                sg.name,
                 method.name()
             );
             if method == MapMethod::Mis2 {
-                // The one Table IV method that is schedule-deterministic:
-                // the host policy must reproduce the serial labels exactly.
-                let (parallel, _) = find_mapping(&host, &g, method, ctx.seed);
-                assert_eq!(parallel, fresh, "{name}: mis2 must be policy-invariant");
+                assert_eq!(
+                    parallel, fresh,
+                    "{}: mis2 must be policy-invariant",
+                    sg.name
+                );
             }
-            let mut ws_host = MapWorkspace::new();
-            find_mapping_in(&host, &g, method, ctx.seed, &mut ws_host); // warm
-            let (_, seconds) = median_time(ctx.runs, || {
-                find_mapping_in(&host, &g, method, ctx.seed, &mut ws_host)
-            });
-            let seconds = seconds.max(SECONDS_FLOOR);
-            // Untimed serial run through the warm workspace for
-            // deterministic full-envelope heap attribution (module docs).
-            let (_, mem) =
-                mlcg_par::mem::measure(|| find_mapping_in(&serial, &g, method, ctx.seed, &mut ws));
-            variants.push(Variant {
-                key: method.name().to_string(),
-                seconds,
-                peak_bytes: mem.peak_bytes,
-            });
         }
-
-        // Full multilevel driver with the default method: summed per-level
-        // mapping seconds — the workspace-reuse number.
         let copts = CoarsenOptions {
             seed: ctx.seed,
             trace: TraceCollector::disabled(),
             ..Default::default()
         };
-        let _ = coarsen(&host, &g, &copts);
-        let (h, _) = median_time(ctx.runs, || coarsen(&host, &g, &copts));
-        let seconds: f64 = h.stats.map_seconds.iter().sum::<f64>().max(SECONDS_FLOOR);
-        let (_, mem) = mlcg_par::mem::measure(|| coarsen(&serial, &g, &copts));
-        variants.push(Variant {
-            key: "hierarchy".to_string(),
-            seconds,
-            peak_bytes: mem.peak_bytes,
-        });
-
-        entries.push(Entry {
-            name,
-            class,
-            n: g.n(),
-            m: g.m(),
-            variants,
-        });
+        bench.variant(
+            "hierarchy",
+            |p, _| coarsen(p, g, &copts),
+            |h| Report::own_seconds(h.stats.map_seconds.iter().sum()),
+        );
     }
-
-    header(&["graph", "class", "n", "m", "variant", "seconds", "peak"]);
-    for e in &entries {
-        for v in &e.variants {
-            row(&[
-                e.name.clone(),
-                e.class.to_string(),
-                e.n.to_string(),
-                e.m.to_string(),
-                v.key.clone(),
-                format!("{:.5}", v.seconds),
-                mlcg_par::mem::fmt_bytes(v.peak_bytes),
-            ]);
-        }
-    }
-
-    // Hand-rolled JSON (the workspace is dependency-free).
-    let mut json = String::from("{\n");
-    json.push_str("  \"experiment\": \"bench-map\",\n");
-    json.push_str(&format!("  \"quick\": {},\n", ctx.quick));
-    json.push_str(&format!("  \"seed\": {},\n", ctx.seed));
-    json.push_str(&format!("  \"runs\": {},\n", ctx.runs));
-    json.push_str("  \"graphs\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"class\": \"{}\", \"n\": {}, \"m\": {}",
-            e.name, e.class, e.n, e.m
-        ));
-        for v in &e.variants {
-            json.push_str(&format!(
-                ", \"{}\": {{\"seconds\": {:.6}, \"peak_bytes\": {}, \"bytes_per_vertex\": {:.2}}}",
-                v.key,
-                v.seconds,
-                v.peak_bytes,
-                v.peak_bytes as f64 / e.n.max(1) as f64
-            ));
-        }
-        json.push_str(&format!(
-            "}}{}\n",
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let dir = PathBuf::from("target/repro");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("BENCH_map.json");
-    std::fs::write(&path, &json).unwrap();
-    println!("bench-map: results written to {}", path.display());
-
-    match &ctx.baseline {
-        Some(baseline) => crate::compare::run_baseline_gate(baseline, &json, ctx.noise),
-        None => 0,
-    }
+    bench.finish()
 }

@@ -1,36 +1,27 @@
 //! `bench-parref` — parallel coarse-level refinement benchmark.
 //!
-//! Runs a fixed-seed graph suite (the `bench-fm` quick suite, or a
-//! larger full suite sized so the parallel engine's crossover genuinely
-//! fires — see [`CROSSOVER_FULL`]) through two uncoarsening paths on one
-//! shared hierarchy per graph:
+//! Runs each suite graph through two uncoarsening paths on one shared
+//! hierarchy:
 //!
-//! * `seq_boundary` — the PR 2 sequential boundary-driven FM driver
-//!   ([`fm_uncoarsen_frac`]), the production fast path under a serial
-//!   policy;
-//! * `par_coarse` — the hybrid driver
-//!   ([`fm_uncoarsen_frac_hybrid`]): frontier-based parallel
-//!   refinement rounds on every level whose projected frontier crosses
-//!   the crossover threshold, sequential boundary FM polish below it and
-//!   after the rounds.
+//! * `seq_boundary` — the sequential boundary-driven FM driver
+//!   ([`fm_uncoarsen_frac_traced`] under the serial policy);
+//! * `par_coarse` — the hybrid driver ([`fm_uncoarsen_frac_hybrid`]):
+//!   frontier-based parallel refinement rounds on every level whose
+//!   projected frontier crosses the crossover threshold, sequential
+//!   boundary FM polish below it and after the rounds.
 //!
-//! Records per-graph cut and refinement-only median seconds for both,
-//! writes `target/repro/BENCH_parref.json`, and (with `--baseline FILE`)
-//! gates the timings like `bench-fm`. With `--trace`, one traced hybrid
-//! run per graph emits the `parref/rounds` counter and the per-round
-//! `parref/frontier_size` gauges plus `par_for/parref/*` dispatch
-//! records.
+//! Records the cut and refinement-only seconds of both in
+//! `target/repro/BENCH_parref.json`. With `--trace`, the traced hybrid run
+//! emits the `parref/rounds` counter, the per-round `parref/frontier_size`
+//! gauges and the `par_for/parref/*` dispatch records.
 
-use crate::harness::{header, median_time, row, secs, Ctx};
+use crate::gated::{graphs, Bench, Family, Report, Suite, QUICK};
+use crate::harness::Ctx;
 use mlcg_coarsen::{coarsen, CoarsenOptions};
-use mlcg_graph::cc::largest_component;
-use mlcg_graph::generators as gen;
 use mlcg_graph::metrics::edge_cut;
-use mlcg_graph::Csr;
-use mlcg_par::TraceCollector;
-use mlcg_partition::fm::{fm_uncoarsen_frac, fm_uncoarsen_frac_hybrid, FmConfig};
+use mlcg_par::ExecPolicy;
+use mlcg_partition::fm::{fm_uncoarsen_frac_hybrid, fm_uncoarsen_frac_traced, FmConfig};
 use mlcg_partition::parref::ParRefConfig;
-use std::path::PathBuf;
 
 /// Forced crossover threshold for the `par_coarse` variant in `--quick`
 /// mode. The [`ParRefConfig`] default ties the threshold to
@@ -50,187 +41,58 @@ const CROSSOVER_QUICK: usize = 512;
 /// production crossover story at a host-independent pin.
 const CROSSOVER_FULL: usize = 2048;
 
-struct Entry {
-    name: String,
-    n: usize,
-    m: usize,
-    seq_cut: u64,
-    seq_secs: f64,
-    seq_peak_bytes: u64,
-    par_cut: u64,
-    par_secs: f64,
-    par_peak_bytes: u64,
-}
+/// Bigger graphs than bench-fm's full suite on purpose: the parallel
+/// engine only engages once a level's projected frontier crosses a
+/// dispatch grain, and rmat-15 is the smallest suite member whose
+/// finest-level frontier (~15k vertices) does. The grid and path stay
+/// below the crossover at every level and document the other half of
+/// the story: thin-boundary graphs keep the sequential fast path, so
+/// their two variants should measure as noise around parity.
+const FULL: &Suite = &[
+    (Family::Grid, 512),
+    (Family::Rmat, 15),
+    (Family::Path, 65536),
+];
 
-fn suite(ctx: &Ctx) -> Vec<(String, Csr)> {
+/// The crossover threshold pinned for the `--quick` or full suite; shared
+/// with `bench-kway`, whose k-way rounds engine needs the same pin.
+pub(crate) fn crossover(ctx: &Ctx) -> usize {
     if ctx.quick {
-        vec![
-            ("grid2d-64x64".to_string(), gen::grid2d(64, 64)),
-            (
-                "rmat-10".to_string(),
-                largest_component(&gen::rmat(10, 8, 0.57, 0.19, 0.19, ctx.seed)).0,
-            ),
-            ("path-4096".to_string(), gen::path(4096)),
-        ]
+        CROSSOVER_QUICK
     } else {
-        // Bigger graphs than bench-fm's full suite on purpose: the
-        // parallel engine only engages once a level's projected frontier
-        // crosses a dispatch grain, and rmat-15 is the smallest suite
-        // member whose finest-level frontier (~15k vertices) does. The
-        // grid and path stay below the crossover at every level and
-        // document the other half of the story: thin-boundary graphs
-        // keep the PR 2 sequential fast path, so their two variants
-        // should measure as noise around parity.
-        vec![
-            ("grid2d-512x512".to_string(), gen::grid2d(512, 512)),
-            (
-                "rmat-15".to_string(),
-                largest_component(&gen::rmat(15, 8, 0.57, 0.19, 0.19, ctx.seed)).0,
-            ),
-            ("path-65536".to_string(), gen::path(65536)),
-        ]
+        CROSSOVER_FULL
     }
 }
 
 /// Run the parallel-refinement benchmark, write `BENCH_parref.json`, and
-/// (with `--baseline FILE`) gate the timings against a committed
-/// baseline. Returns the process exit code (nonzero on regression).
+/// (with `--baseline FILE`) gate it. Returns the process exit code.
 pub fn run(ctx: &Ctx) -> i32 {
-    let policy = ctx.host();
+    let host = ctx.host();
+    let serial = ExecPolicy::serial();
     let cfg = FmConfig::default();
-    let crossover = if ctx.quick {
-        CROSSOVER_QUICK
-    } else {
-        CROSSOVER_FULL
-    };
+    let crossover = crossover(ctx);
     let parref = ParRefConfig {
         epsilon: cfg.epsilon,
         crossover_frontier: Some(crossover),
         ..ParRefConfig::default()
     };
-    let mut entries = Vec::new();
-
-    for (name, g) in suite(ctx) {
-        let h = coarsen(&policy, &g, &CoarsenOptions::default());
-        let (seq_part, seq_secs) =
-            median_time(ctx.runs, || fm_uncoarsen_frac(&h, &cfg, 0.5, ctx.seed));
-        let (par_part, par_secs) = median_time(ctx.runs, || {
-            fm_uncoarsen_frac_hybrid(
-                &policy,
-                &h,
-                &cfg,
-                &parref,
-                0.5,
-                ctx.seed,
-                &TraceCollector::disabled(),
-            )
-        });
-        // Heap attribution: one untimed run per variant inside an
-        // allocator scope (timing loops are left unscoped).
-        let (_, seq_mem) = mlcg_par::mem::measure(|| fm_uncoarsen_frac(&h, &cfg, 0.5, ctx.seed));
-        let (_, par_mem) = mlcg_par::mem::measure(|| {
-            fm_uncoarsen_frac_hybrid(
-                &policy,
-                &h,
-                &cfg,
-                &parref,
-                0.5,
-                ctx.seed,
-                &TraceCollector::disabled(),
-            )
-        });
-        entries.push(Entry {
-            name: name.clone(),
-            n: g.n(),
-            m: g.m(),
-            seq_cut: edge_cut(&g, &seq_part),
-            seq_secs,
-            seq_peak_bytes: seq_mem.peak_bytes,
-            par_cut: edge_cut(&g, &par_part),
-            par_secs,
-            par_peak_bytes: par_mem.peak_bytes,
-        });
-        if ctx.trace_enabled() {
-            let trace = ctx.trace_collector();
-            let _p = mlcg_par::profile::install(&trace);
-            let h_traced = coarsen(
-                &policy,
-                &g,
-                &CoarsenOptions {
-                    trace: trace.clone(),
-                    seed: ctx.seed,
-                    ..Default::default()
-                },
-            );
-            fm_uncoarsen_frac_hybrid(&policy, &h_traced, &cfg, &parref, 0.5, ctx.seed, &trace);
-            let report = trace.report();
-            println!(
-                "bench-parref/{name}: parref/rounds = {}",
-                report.counter("parref/rounds")
-            );
-            ctx.emit_trace(&format!("bench-parref/{name}"), &report);
-        }
+    let mut bench =
+        Bench::new(ctx, "bench-parref", ctx.host()).param("crossover_frontier", crossover);
+    for sg in graphs(ctx, QUICK, FULL) {
+        let g = &sg.g;
+        let h = coarsen(&host, g, &CoarsenOptions::default());
+        let cut = |part: &Vec<u32>| Report::fields(vec![("cut", edge_cut(g, part).to_string())]);
+        bench.graph(&sg);
+        bench.variant(
+            "seq_boundary",
+            |_, trace| fm_uncoarsen_frac_traced(&serial, &h, &cfg, 0.5, ctx.seed, trace),
+            cut,
+        );
+        bench.variant(
+            "par_coarse",
+            |p, trace| fm_uncoarsen_frac_hybrid(p, &h, &cfg, &parref, 0.5, ctx.seed, trace),
+            cut,
+        );
     }
-
-    header(&[
-        "graph", "n", "m", "seq cut", "seq s", "seq peak", "par cut", "par s", "par peak",
-        "speedup",
-    ]);
-    for e in &entries {
-        row(&[
-            e.name.clone(),
-            e.n.to_string(),
-            e.m.to_string(),
-            e.seq_cut.to_string(),
-            secs(e.seq_secs),
-            mlcg_par::mem::fmt_bytes(e.seq_peak_bytes),
-            e.par_cut.to_string(),
-            secs(e.par_secs),
-            mlcg_par::mem::fmt_bytes(e.par_peak_bytes),
-            format!("{:.2}x", e.seq_secs / e.par_secs.max(1e-12)),
-        ]);
-    }
-
-    // Hand-rolled JSON (the workspace is dependency-free).
-    let mut json = String::from("{\n");
-    json.push_str("  \"experiment\": \"bench-parref\",\n");
-    json.push_str(&format!("  \"quick\": {},\n", ctx.quick));
-    json.push_str(&format!("  \"seed\": {},\n", ctx.seed));
-    json.push_str(&format!("  \"runs\": {},\n", ctx.runs));
-    json.push_str(&format!("  \"crossover_frontier\": {crossover},\n"));
-    json.push_str("  \"graphs\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"n\": {}, \"m\": {}, \
-             \"seq_boundary\": {{\"cut\": {}, \"refine_seconds\": {:.6}, \
-             \"peak_bytes\": {}, \"bytes_per_edge\": {:.2}}}, \
-             \"par_coarse\": {{\"cut\": {}, \"refine_seconds\": {:.6}, \
-             \"peak_bytes\": {}, \"bytes_per_edge\": {:.2}}}, \
-             \"speedup\": {:.3}}}{}\n",
-            e.name,
-            e.n,
-            e.m,
-            e.seq_cut,
-            e.seq_secs,
-            e.seq_peak_bytes,
-            e.seq_peak_bytes as f64 / e.m.max(1) as f64,
-            e.par_cut,
-            e.par_secs,
-            e.par_peak_bytes,
-            e.par_peak_bytes as f64 / e.m.max(1) as f64,
-            e.seq_secs / e.par_secs.max(1e-12),
-            if i + 1 < entries.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let dir = PathBuf::from("target/repro");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("BENCH_parref.json");
-    std::fs::write(&path, &json).unwrap();
-    println!("bench-parref: results written to {}", path.display());
-
-    match &ctx.baseline {
-        Some(baseline) => crate::compare::run_baseline_gate(baseline, &json, ctx.noise),
-        None => 0,
-    }
+    bench.finish()
 }

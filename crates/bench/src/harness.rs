@@ -16,7 +16,7 @@ pub struct Ctx {
     pub seed: u64,
     /// Lower the power-iteration caps (smoke-test mode).
     pub fast: bool,
-    /// Shrink benchmark suites for CI smoke runs (`bench-fm`).
+    /// Shrink the `bench-*` suites for CI smoke runs.
     pub quick: bool,
     /// Collect and emit pipeline traces (spans/counters/gauges) as
     /// JSON-lines plus a human-readable tree.

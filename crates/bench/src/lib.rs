@@ -9,7 +9,9 @@
 //!
 //! experiments: table1 table2 table3 table4 table5 table6
 //!              fig1 fig2 fig3-left fig3-mid fig3-right
-//!              ablate-dedup bench-fm extended-methods trace all
+//!              ablate-dedup extended-methods trace all
+//! gated:       bench-fm bench-parref bench-kway bench-ingest
+//!              bench-coarsen bench-map
 //! options:     --scale <k>      corpus size (default 0; +1 doubles n)
 //!              --runs <r>       timed repetitions, median reported (default 3)
 //!              --seed <s>       RNG seed (default 42)
@@ -24,6 +26,9 @@
 //!                               = 25% slower counts as a regression)
 //! ```
 //!
+//! The six gated experiments share one measurement loop, results writer
+//! and baseline gate ([`gated`]).
+//!
 //! Environment: `MLCG_TRACE=1` enables tracing without the flag;
 //! `MLCG_TRACE_OUT=<f>` supplies a default Chrome-trace output path;
 //! `MLCG_VALIDATE=1` additionally runs opt-in invariant audits between
@@ -31,6 +36,7 @@
 
 pub mod compare;
 pub mod exp;
+pub mod gated;
 pub mod harness;
 
 pub use harness::Ctx;

@@ -57,3 +57,28 @@ fn all_experiment_names_are_known() {
         );
     }
 }
+
+#[test]
+fn gated_benches_report_every_baseline_member() {
+    // No timing or heap value can exceed an infinite noise threshold, so
+    // exit code 0 holds only if every graph, variant and gated member of
+    // the committed baseline is still reported.
+    for name in ["fm", "parref", "kway", "ingest", "coarsen", "map"] {
+        let baseline = format!(
+            "{}/../../baselines/BENCH_{name}_quick.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let ctx = Ctx {
+            quick: true,
+            runs: 1,
+            baseline: Some(baseline),
+            noise: f64::INFINITY,
+            ..Default::default()
+        };
+        assert_eq!(
+            exp::run(&format!("bench-{name}"), &ctx),
+            Some(0),
+            "bench-{name}"
+        );
+    }
+}

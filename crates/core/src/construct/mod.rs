@@ -169,7 +169,14 @@ pub fn construct_coarse_graph(
     mapping: &Mapping,
     opts: &ConstructOptions,
 ) -> Csr {
-    construct_coarse_graph_traced(policy, g, mapping, opts, &TraceCollector::disabled())
+    construct_coarse_graph_traced_in(
+        policy,
+        g,
+        mapping,
+        opts,
+        &TraceCollector::disabled(),
+        &mut ConstructWorkspace::new(),
+    )
 }
 
 /// [`construct_coarse_graph`] reusing a caller-held [`ConstructWorkspace`].
@@ -183,28 +190,9 @@ pub fn construct_coarse_graph_in(
     construct_coarse_graph_traced_in(policy, g, mapping, opts, &TraceCollector::disabled(), ws)
 }
 
-/// [`construct_coarse_graph`] with a trace sink: the vertex-centric paths
+/// The full-featured entry point: a trace sink (the vertex-centric paths
 /// report hash-probe collisions and per-strategy edges scanned as pipeline
-/// counters. With a disabled collector this is exactly
-/// `construct_coarse_graph`.
-pub fn construct_coarse_graph_traced(
-    policy: &ExecPolicy,
-    g: &Csr,
-    mapping: &Mapping,
-    opts: &ConstructOptions,
-    trace: &TraceCollector,
-) -> Csr {
-    construct_coarse_graph_traced_in(
-        policy,
-        g,
-        mapping,
-        opts,
-        trace,
-        &mut ConstructWorkspace::new(),
-    )
-}
-
-/// The full-featured entry point: trace sink plus level-reused workspace.
+/// counters) plus a level-reused workspace.
 pub fn construct_coarse_graph_traced_in(
     policy: &ExecPolicy,
     g: &Csr,
@@ -234,17 +222,13 @@ pub fn construct_coarse_graph_traced_in(
     coarse
 }
 
-/// Coarse vertex weights: sums of member fine vertex weights.
-pub fn aggregate_vertex_weights(policy: &ExecPolicy, g: &Csr, mapping: &Mapping) -> Vec<VWeight> {
-    aggregate_vertex_weights_in(policy, g, mapping, &mut ConstructWorkspace::new())
-}
-
-/// [`aggregate_vertex_weights`] with pooled accumulators: per-participant
-/// dense accumulation merged by a parallel reduction over the coarse-id
-/// domain, so hub aggregates never serialize workers on one atomic slot.
-/// Falls back to [`aggregate_vertex_weights_atomic`] when the combined
-/// accumulator footprint would outgrow the pass (same budget rule as the
-/// construction counting passes).
+/// Coarse vertex weights (sums of member fine vertex weights) with pooled
+/// accumulators: per-participant dense accumulation merged by a parallel
+/// reduction over the coarse-id domain, so hub aggregates never serialize
+/// workers on one atomic slot. Falls back to
+/// [`aggregate_vertex_weights_atomic`] when the combined accumulator
+/// footprint would outgrow the pass (same budget rule as the construction
+/// counting passes).
 pub fn aggregate_vertex_weights_in(
     policy: &ExecPolicy,
     g: &Csr,

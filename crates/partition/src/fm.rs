@@ -71,21 +71,7 @@ pub fn fm_refine(g: &Csr, part: &mut [u32], cfg: &FmConfig) -> u64 {
 /// FM refinement targeting part 0 holding `frac` of the total vertex
 /// weight (used by recursive k-way partitioning for odd splits).
 pub fn fm_refine_frac(g: &Csr, part: &mut [u32], cfg: &FmConfig, frac: f64) -> u64 {
-    fm_refine_frac_traced(g, part, cfg, frac, &TraceCollector::disabled())
-}
-
-/// [`fm_refine_frac`] with a trace sink: each pass records an `fm/pass{N}`
-/// span and an `fm/boundary_size` gauge, and prefix rollbacks feed the
-/// `fm/moves_rolled_back` counter. With a disabled collector this is
-/// exactly `fm_refine_frac`.
-pub fn fm_refine_frac_traced(
-    g: &Csr,
-    part: &mut [u32],
-    cfg: &FmConfig,
-    frac: f64,
-    trace: &TraceCollector,
-) -> u64 {
-    fm_refine_boundary_traced(g, part, cfg, frac, None, trace).cut
+    fm_refine_boundary_traced(g, part, cfg, frac, None, &TraceCollector::disabled()).cut
 }
 
 /// Outcome of one boundary-driven refinement.
@@ -163,6 +149,10 @@ impl Balance {
 /// balance repair may require moving vertices with no cut edge at all
 /// (e.g. a degenerate everything-on-one-side start has an *empty*
 /// boundary). Balanced runs never pay this cost.
+///
+/// Each pass records an `fm/pass{N}` span and an `fm/boundary_size` gauge
+/// on `trace`, and prefix rollbacks feed the `fm/moves_rolled_back`
+/// counter.
 pub fn fm_refine_boundary_traced(
     g: &Csr,
     part: &mut [u32],
@@ -572,8 +562,8 @@ pub fn fm_refine_frac_full_scan(g: &Csr, part: &mut [u32], cfg: &FmConfig, frac:
     cut as u64
 }
 
-/// Full-scan counterpart of [`fm_uncoarsen_frac`]: the identical
-/// multilevel driver, but every level refines with
+/// Full-scan counterpart of [`fm_uncoarsen_frac_traced`] under the serial
+/// policy: the identical multilevel driver, but every level refines with
 /// [`fm_refine_frac_full_scan`] (gains rebuilt and the heap re-seeded
 /// over all `n` vertices each pass). Kept as the measurement baseline
 /// for the boundary-driven refiner — `bench_partition` and the
@@ -649,31 +639,11 @@ pub fn fm_bisect_frac(
         .with_trace(trace.report())
 }
 
-/// The uncoarsening half: initial partition on the coarsest graph, then
-/// project + FM-refine level by level.
-pub fn fm_uncoarsen(h: &Hierarchy, cfg: &FmConfig, seed: u64) -> Vec<u32> {
-    fm_uncoarsen_frac(h, cfg, 0.5, seed)
-}
-
-/// [`fm_uncoarsen`] with a fractional part-0 weight target.
-///
-/// Pure sequential path (serial policy), kept signature-stable as the
-/// measurement baseline for `bench-fm`/`bench-parref`; the multilevel
-/// partitioners go through [`fm_uncoarsen_frac_traced`], which engages
-/// parallel rounds on coarse levels under a parallel policy.
-pub fn fm_uncoarsen_frac(h: &Hierarchy, cfg: &FmConfig, frac: f64, seed: u64) -> Vec<u32> {
-    fm_uncoarsen_frac_traced(
-        &ExecPolicy::serial(),
-        h,
-        cfg,
-        frac,
-        seed,
-        &TraceCollector::disabled(),
-    )
-}
-
-/// [`fm_uncoarsen_frac`] with an execution policy and a trace sink
-/// threaded into every per-level refinement.
+/// The uncoarsening half: initial partition on the coarsest graph (part 0
+/// targeting `frac` of the vertex weight), then project + FM-refine level
+/// by level, with an execution policy and a trace sink threaded into every
+/// per-level refinement. Under the serial policy this is the pure
+/// sequential boundary-driven path.
 ///
 /// Delegates to [`fm_uncoarsen_frac_hybrid`] with a [`ParRefConfig`]
 /// derived from `cfg` (same epsilon, default crossover), so coarse levels

@@ -11,7 +11,7 @@ use mlcg_graph::cc::largest_component;
 use mlcg_graph::metrics::{edge_cut, part_weights};
 use mlcg_graph::Csr;
 use mlcg_par::proplite::{run_cases, Gen};
-use mlcg_par::ExecPolicy;
+use mlcg_par::{ExecPolicy, TraceCollector};
 use mlcg_partition::fm::{fm_refine_frac, FmConfig};
 use mlcg_partition::ggg::greedy_graph_growing_frac;
 use mlcg_partition::kway::{kway_imbalance, kway_partition};
@@ -132,7 +132,14 @@ fn boundary_fm_is_no_worse_than_full_scan() {
         let seed = gen.u64();
         let cfg = FmConfig::default();
         let h = mlcg_coarsen::coarsen(&ExecPolicy::serial(), &g, &CoarsenOptions::default());
-        let boundary_part = mlcg_partition::fm::fm_uncoarsen_frac(&h, &cfg, 0.5, seed);
+        let boundary_part = mlcg_partition::fm::fm_uncoarsen_frac_traced(
+            &ExecPolicy::serial(),
+            &h,
+            &cfg,
+            0.5,
+            seed,
+            &TraceCollector::disabled(),
+        );
         let boundary_cut = edge_cut(&g, &boundary_part);
         let (full_part, full_cut) =
             mlcg_partition::fm::fm_uncoarsen_frac_full_scan(&h, &cfg, 0.5, seed);

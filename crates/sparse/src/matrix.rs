@@ -36,12 +36,6 @@ impl CsrMatrix {
         (&self.col_idx[r.clone()], &self.values[r])
     }
 
-    /// Force full-width row offsets (benchmark baseline for the
-    /// u32-vs-usize SpMV comparison; production paths stay adaptive).
-    pub fn widen_offsets(&mut self) {
-        self.row_ptr.widen();
-    }
-
     /// The `n × n` identity.
     pub fn identity(n: usize) -> Self {
         CsrMatrix {
