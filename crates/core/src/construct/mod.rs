@@ -190,10 +190,11 @@ pub fn construct_coarse_graph_in(
     construct_coarse_graph_traced_in(policy, g, mapping, opts, &TraceCollector::disabled(), ws)
 }
 
-/// The full-featured entry point: a trace sink (the vertex-centric paths
-/// report hash-probe collisions and per-strategy edges scanned as pipeline
-/// counters) plus a level-reused workspace.
-pub fn construct_coarse_graph_traced_in(
+/// The full-featured entry point behind [`crate::coarsen`]: a trace
+/// sink (the vertex-centric paths report hash-probe collisions and
+/// per-strategy edges scanned as pipeline counters) plus a level-reused
+/// workspace.
+pub(crate) fn construct_coarse_graph_traced_in(
     policy: &ExecPolicy,
     g: &Csr,
     mapping: &Mapping,
@@ -210,7 +211,7 @@ pub fn construct_coarse_graph_traced_in(
         ConstructMethod::Hash => {
             vertex::construct(policy, g, mapping, vertex::Dedup::Hash, opts, trace, ws)
         }
-        ConstructMethod::Spgemm => spgemm::construct_traced(policy, g, mapping, trace),
+        ConstructMethod::Spgemm => spgemm::construct(policy, g, mapping, trace),
         ConstructMethod::GlobalSort => {
             global_sort::construct(policy, g, mapping, trace, &mut ws.gsort)
         }

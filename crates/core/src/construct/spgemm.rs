@@ -8,20 +8,11 @@ use mlcg_par::{ExecPolicy, TraceCollector};
 use mlcg_sparse::{spgemm, transpose, CsrMatrix};
 
 /// Build the coarse graph through the `P·A·Pᵀ` triple product, dropping the
-/// diagonal (intra-aggregate weight).
-pub fn construct(policy: &ExecPolicy, g: &Csr, mapping: &Mapping) -> Csr {
-    construct_traced(policy, g, mapping, &TraceCollector::disabled())
-}
-
-/// [`construct`] with a trace sink: the two sparse products (the dominant
-/// transient of this strategy — `P·A` is as large as the fine matrix) are
-/// wrapped in a heap scope recorded as `mem/spgemm/{peak,net}_bytes`.
-pub fn construct_traced(
-    policy: &ExecPolicy,
-    g: &Csr,
-    mapping: &Mapping,
-    trace: &TraceCollector,
-) -> Csr {
+/// diagonal (intra-aggregate weight). The two sparse products (the
+/// dominant transient of this strategy — `P·A` is as large as the fine
+/// matrix) are wrapped in a heap scope recorded on `trace` as
+/// `mem/spgemm/{peak,net}_bytes`.
+pub fn construct(policy: &ExecPolicy, g: &Csr, mapping: &Mapping, trace: &TraceCollector) -> Csr {
     let mem = trace.heap_scope(|| "spgemm".to_string());
     let a = CsrMatrix::from_graph(g);
     let p = CsrMatrix::prolongation(&mapping.map, mapping.n_coarse);
@@ -96,7 +87,12 @@ mod tests {
             map: vec![0, 0, 1],
             n_coarse: 2,
         };
-        let c = construct(&ExecPolicy::serial(), &g, &mapping);
+        let c = construct(
+            &ExecPolicy::serial(),
+            &g,
+            &mapping,
+            &TraceCollector::disabled(),
+        );
         c.validate().unwrap(); // validate() rejects self-loops
         assert_eq!(c.find_edge(0, 1), Some(1));
     }

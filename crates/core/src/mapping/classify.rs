@@ -48,7 +48,8 @@ pub fn classify_heavy_edges(
     seed: u64,
 ) -> (Vec<ClassifiedEdge>, Vec<u32>) {
     let n = g.n();
-    let h = heavy_neighbors(policy, g);
+    let mut h = Vec::new();
+    heavy_neighbors(policy, g, &mut h);
     let p = random_permutation(policy, n, seed);
     let mut m = vec![UNMAPPED; n];
     let mut next = 0u32;

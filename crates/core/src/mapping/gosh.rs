@@ -14,7 +14,7 @@
 //! low-synchronization HEC3 phases ("less indirection, lower fine-grained
 //! synchronization, skips high-degree vertex adjacencies").
 
-use super::util::{heavy_neighbor_where, prepare_premark, relabel_in, relabel_premarked_in};
+use super::util::{heavy_neighbor_where, prepare_premark, relabel, relabel_premarked};
 use super::workspace::MapWorkspace;
 use super::{MapStats, Mapping, UNMAPPED};
 use mlcg_graph::{Csr, VId};
@@ -28,15 +28,10 @@ use std::sync::atomic::Ordering;
 /// the average degree; GOSH refuses to contract such pairs.
 pub const HIGH_DEGREE_FACTOR: f64 = 4.0;
 
-/// The degree above which a vertex counts as "high degree" for the guard,
-/// given a multiplier of the average degree (floor 8 so tiny graphs never
-/// trigger it spuriously).
-pub fn high_degree_threshold_with(g: &Csr, factor: f64) -> usize {
-    ((g.avg_degree() * factor).ceil() as usize).max(8)
-}
-
+/// The degree above which a vertex counts as "high degree" for the guard
+/// (floor 8 so tiny graphs never trigger it spuriously).
 fn high_degree_threshold(g: &Csr) -> usize {
-    high_degree_threshold_with(g, HIGH_DEGREE_FACTOR)
+    ((g.avg_degree() * HIGH_DEGREE_FACTOR).ceil() as usize).max(8)
 }
 
 /// Priority tuple: decreasing-degree order, randomized within a degree
@@ -46,18 +41,9 @@ fn priority(g: &Csr, seed: u64, u: usize) -> (usize, u64, usize) {
     (g.degree(u as VId), hash_index(seed, u as u64), u)
 }
 
-/// GOSH coarsening (Algorithm 15 parallelization).
-pub fn gosh(policy: &ExecPolicy, g: &Csr, seed: u64) -> (Mapping, MapStats) {
-    gosh_in(policy, g, seed, &mut MapWorkspace::new())
-}
-
-/// [`gosh`] through a level-reused workspace.
-pub fn gosh_in(
-    policy: &ExecPolicy,
-    g: &Csr,
-    seed: u64,
-    ws: &mut MapWorkspace,
-) -> (Mapping, MapStats) {
+/// GOSH coarsening (Algorithm 15 parallelization) through a level-reused
+/// workspace.
+pub fn gosh(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
     let n = g.n();
     if n <= 1 {
         return (
@@ -107,7 +93,6 @@ pub fn gosh_in(
                 }
                 let du = g.degree(u as VId);
                 let mut any_unmapped_neighbor = false;
-                let mut fallback: Option<u32> = None;
                 for &v in g.neighbors(u as VId) {
                     let mv = m_at[v as usize].load(Ordering::Acquire);
                     if mv == UNMAPPED {
@@ -120,16 +105,13 @@ pub fn gosh_in(
                             m_at[u].store(v, Ordering::Release);
                             return;
                         }
-                        fallback = Some(v);
                     }
                 }
                 if !any_unmapped_neighbor {
                     // Every neighbor is settled but none is joinable —
-                    // either the guard blocked the only centers
-                    // (`fallback` saw them) or all neighbors attached
-                    // elsewhere. Self-center rather than stall (GOSH's own
-                    // escape hatch).
-                    let _ = fallback;
+                    // either the guard blocked the only centers or all
+                    // neighbors attached elsewhere. Self-center rather than
+                    // stall (GOSH's own escape hatch).
                     m_at[u].store(u as u32, Ordering::Release);
                 }
             });
@@ -139,17 +121,13 @@ pub fn gosh_in(
         stats.record_resolved(before - after);
         assert!(after < before || after == 0, "GOSH made no progress");
     }
-    (relabel_in(policy, m, ws), stats)
+    (relabel(policy, m, ws), stats)
 }
 
 /// The new GOSH+HEC hybrid (Algorithm 16): weighted heavy neighbors with
-/// high-degree adjacencies skipped, executed via the HEC3 phases.
-pub fn gosh_hec(policy: &ExecPolicy, g: &Csr, seed: u64) -> (Mapping, MapStats) {
-    gosh_hec_in(policy, g, seed, &mut MapWorkspace::new())
-}
-
-/// [`gosh_hec`] through a level-reused workspace.
-pub fn gosh_hec_in(
+/// high-degree adjacencies skipped, executed via the HEC3 phases through a
+/// level-reused workspace.
+pub fn gosh_hec(
     policy: &ExecPolicy,
     g: &Csr,
     seed: u64,
@@ -253,7 +231,7 @@ pub fn gosh_hec_in(
         });
     }
     (
-        relabel_premarked_in(policy, m, ws),
+        relabel_premarked(policy, m, ws),
         MapStats {
             passes: 4,
             resolved_per_pass: vec![n],
@@ -265,7 +243,7 @@ pub fn gosh_hec_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::{testkit, MapMethod};
+    use crate::mapping::{find_mapping, testkit, MapMethod};
     use mlcg_graph::generators as gen;
 
     #[test]
@@ -285,7 +263,7 @@ mod tests {
         // that every aggregate is a star around its center in the fine
         // graph — i.e. aggregates are connected.
         for (name, g) in testkit::battery() {
-            let (m, _) = gosh(&ExecPolicy::serial(), &g, 5);
+            let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Gosh, 5);
             testkit::check_mapping(name, &g, &m);
             testkit::check_aggregates_connected(&g, &m);
         }
@@ -294,7 +272,7 @@ mod tests {
     #[test]
     fn gosh_hec_aggregates_connected() {
         for (name, g) in testkit::battery() {
-            let (m, _) = gosh_hec(&ExecPolicy::serial(), &g, 5);
+            let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::GoshHec, 5);
             testkit::check_mapping(name, &g, &m);
             testkit::check_aggregates_connected(&g, &m);
         }
@@ -309,7 +287,7 @@ mod tests {
             edges.push((if leaf % 2 == 0 { 0 } else { 1 }, leaf));
         }
         let g = mlcg_graph::builder::from_edges_unit(30, &edges);
-        let (m, _) = gosh(&ExecPolicy::serial(), &g, 9);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Gosh, 9);
         assert_ne!(
             m.map[0], m.map[1],
             "high-degree hubs must not contract together"
@@ -324,14 +302,14 @@ mod tests {
             4,
             &[(0, 1, 100), (1, 2, 1), (0, 2, 1), (2, 3, 1)],
         );
-        let (m, _) = gosh_hec(&ExecPolicy::serial(), &g, 3);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::GoshHec, 3);
         assert_eq!(m.map[0], m.map[1], "hybrid must respect edge weights");
     }
 
     #[test]
     fn gosh_coarsens_star_fully() {
         let g = gen::star(25);
-        let (m, _) = gosh(&ExecPolicy::serial(), &g, 2);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Gosh, 2);
         // The hub is the degree maximum -> center; every leaf attaches
         // (leaves are low-degree so the guard does not trigger).
         assert_eq!(m.n_coarse, 1);
@@ -341,7 +319,7 @@ mod tests {
     fn gosh_is_less_aggressive_than_hec_on_regular_graphs() {
         let g = gen::grid2d(30, 30);
         let p = ExecPolicy::serial();
-        let (mg, _) = gosh(&p, &g, 3);
+        let (mg, _) = find_mapping(&p, &g, MapMethod::Gosh, 3);
         mg.validate().unwrap();
         assert!(
             mg.coarsening_ratio() >= 1.5,

@@ -19,7 +19,7 @@
 //! are gathered into `R` and the loop repeats; the paper reports ≥99 % of
 //! vertices settle within two passes, a statistic [`MapStats`] reproduces.
 
-use super::util::{heavy_neighbors_in, relabel_in};
+use super::util::{heavy_neighbors, relabel};
 use super::workspace::MapWorkspace;
 use super::{MapStats, Mapping, UNMAPPED};
 use mlcg_graph::Csr;
@@ -32,18 +32,9 @@ use std::sync::atomic::{AtomicU32, Ordering};
 /// Ownership sentinel: `C[u] = FREE` means unclaimed.
 const FREE: u32 = u32::MAX;
 
-/// Run parallel HEC. Requires a connected graph with `n ≥ 1`.
-pub fn hec(policy: &ExecPolicy, g: &Csr, seed: u64) -> (Mapping, MapStats) {
-    hec_in(policy, g, seed, &mut MapWorkspace::new())
-}
-
-/// [`hec`] through a level-reused workspace.
-pub fn hec_in(
-    policy: &ExecPolicy,
-    g: &Csr,
-    seed: u64,
-    ws: &mut MapWorkspace,
-) -> (Mapping, MapStats) {
+/// Run parallel HEC through a level-reused workspace. Requires a
+/// connected graph with `n ≥ 1`.
+pub fn hec(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
     let n = g.n();
     if n <= 1 {
         return (
@@ -54,7 +45,7 @@ pub fn hec_in(
             MapStats::default(),
         );
     }
-    heavy_neighbors_in(policy, g, &mut ws.heavy);
+    heavy_neighbors(policy, g, &mut ws.heavy);
     debug_assert!(
         ws.heavy.iter().all(|&x| x != UNMAPPED),
         "graph must have no isolated vertices"
@@ -147,15 +138,14 @@ pub fn hec_in(
     // Labels are already contiguous (atomic counter), but relabel defends
     // against the (unobserved) case of allocated-but-unused ids.
     debug_assert!(m.iter().all(|&x| (x as usize) < n_coarse));
-    let mapping = relabel_in(policy, m, ws);
+    let mapping = relabel(policy, m, ws);
     (mapping, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::testkit;
-    use crate::mapping::MapMethod;
+    use crate::mapping::{find_mapping, testkit, MapMethod};
     use mlcg_graph::builder::from_edges_weighted;
     use mlcg_graph::generators as gen;
 
@@ -167,7 +157,7 @@ mod tests {
     #[test]
     fn aggregates_are_connected() {
         for (name, g) in testkit::battery() {
-            let (m, _) = hec(&ExecPolicy::serial(), &g, 9);
+            let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hec, 9);
             testkit::check_mapping(name, &g, &m);
             testkit::check_aggregates_connected(&g, &m);
         }
@@ -177,7 +167,7 @@ mod tests {
     fn heavy_pair_merges() {
         // 0 -(9)- 1 is the unique heavy edge for both endpoints.
         let g = from_edges_weighted(4, &[(0, 1, 9), (1, 2, 1), (2, 3, 1), (3, 0, 1)]);
-        let (m, _) = hec(&ExecPolicy::serial(), &g, 1);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hec, 1);
         assert_eq!(m.map[0], m.map[1], "mutual heavy pair must merge");
     }
 
@@ -185,14 +175,14 @@ mod tests {
     fn star_collapses_to_one_aggregate() {
         // Every leaf's heavy neighbor is the hub; HEC absorbs them all.
         let g = gen::star(50);
-        let (m, _) = hec(&ExecPolicy::serial(), &g, 3);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hec, 3);
         assert_eq!(m.n_coarse, 1, "HEC coarsening ratio is unbounded on stars");
     }
 
     #[test]
     fn coarsening_ratio_exceeds_matching_bound_on_skewed_graphs() {
         let (g, _) = mlcg_graph::cc::largest_component(&gen::rmat(10, 8, 0.57, 0.19, 0.19, 7));
-        let (m, _) = hec(&ExecPolicy::serial(), &g, 11);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hec, 11);
         assert!(
             m.coarsening_ratio() > 2.0,
             "HEC should beat the matching bound on skewed graphs: {}",
@@ -205,7 +195,7 @@ mod tests {
         // The paper reports 99.4% resolved within two passes on level 1.
         let (g, _) = mlcg_graph::cc::largest_component(&gen::rmat(11, 8, 0.57, 0.19, 0.19, 3));
         for policy in ExecPolicy::all_test_policies() {
-            let (_, stats) = hec(&policy, &g, 5);
+            let (_, stats) = find_mapping(&policy, &g, MapMethod::Hec, 5);
             let total = stats.resolved_total();
             let first_two: usize = stats.resolved_per_pass.iter().take(2).sum();
             assert!(
@@ -218,17 +208,17 @@ mod tests {
     #[test]
     fn serial_is_deterministic() {
         let g = gen::grid2d(20, 20);
-        let (a, _) = hec(&ExecPolicy::serial(), &g, 77);
-        let (b, _) = hec(&ExecPolicy::serial(), &g, 77);
+        let (a, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hec, 77);
+        let (b, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hec, 77);
         assert_eq!(a, b);
     }
 
     #[test]
     fn parallel_policies_produce_valid_mappings_with_similar_ratio() {
         let g = gen::grid2d(40, 40);
-        let (serial, _) = hec(&ExecPolicy::serial(), &g, 5);
+        let (serial, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hec, 5);
         for policy in ExecPolicy::all_test_policies() {
-            let (m, _) = hec(&policy, &g, 5);
+            let (m, _) = find_mapping(&policy, &g, MapMethod::Hec, 5);
             m.validate().unwrap();
             let r = m.coarsening_ratio() / serial.coarsening_ratio();
             assert!(
@@ -243,7 +233,7 @@ mod tests {
     #[test]
     fn single_and_two_vertex_graphs() {
         let g1 = gen::path(2);
-        let (m, _) = hec(&ExecPolicy::serial(), &g1, 1);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &g1, MapMethod::Hec, 1);
         assert_eq!(m.n_coarse, 1);
         assert_eq!(m.map[0], m.map[1]);
     }

@@ -23,7 +23,7 @@
 //! `flag[label] = 1` alongside the label write) and the relabel runs in
 //! its premarked form — one fewer O(n) traversal per level.
 
-use super::util::{heavy_neighbors_in, prepare_premark, relabel_premarked_in};
+use super::util::{heavy_neighbors, prepare_premark, relabel_premarked};
 use super::workspace::MapWorkspace;
 use super::{MapStats, Mapping, UNMAPPED};
 use mlcg_graph::Csr;
@@ -32,18 +32,8 @@ use mlcg_par::perm::{invert_permutation_in, random_permutation_in};
 use mlcg_par::{parallel_for, ExecPolicy};
 use std::sync::atomic::Ordering;
 
-/// HEC3 — Algorithm 5.
-pub fn hec3(policy: &ExecPolicy, g: &Csr, seed: u64) -> (Mapping, MapStats) {
-    hec3_in(policy, g, seed, &mut MapWorkspace::new())
-}
-
-/// [`hec3`] through a level-reused workspace.
-pub fn hec3_in(
-    policy: &ExecPolicy,
-    g: &Csr,
-    seed: u64,
-    ws: &mut MapWorkspace,
-) -> (Mapping, MapStats) {
+/// HEC3 — Algorithm 5, through a level-reused workspace.
+pub fn hec3(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
     let n = g.n();
     if n <= 1 {
         return (
@@ -54,7 +44,7 @@ pub fn hec3_in(
             MapStats::default(),
         );
     }
-    heavy_neighbors_in(policy, g, &mut ws.heavy);
+    heavy_neighbors(policy, g, &mut ws.heavy);
     random_permutation_in(policy, n, seed, &mut ws.perm_keys, &mut ws.queue);
     // pos[u] = random priority of u.
     {
@@ -139,7 +129,7 @@ pub fn hec3_in(
             }
         });
     }
-    let mapping = relabel_premarked_in(policy, m, ws); // FindUniqAndRelabel (line 22)
+    let mapping = relabel_premarked(policy, m, ws); // FindUniqAndRelabel (line 22)
     (
         mapping,
         MapStats {
@@ -158,17 +148,9 @@ pub fn hec3_in(
 /// - `Y[v]` (the raw label): a target is labeled `min(v, X[v])`, so the
 ///   two orientations of a mutual heavy pair agree on one id without
 ///   detecting the cycle; every non-target joins its target's label.
-pub fn hec2(policy: &ExecPolicy, g: &Csr, seed: u64) -> (Mapping, MapStats) {
-    hec2_in(policy, g, seed, &mut MapWorkspace::new())
-}
-
-/// [`hec2`] through a level-reused workspace.
-pub fn hec2_in(
-    policy: &ExecPolicy,
-    g: &Csr,
-    seed: u64,
-    ws: &mut MapWorkspace,
-) -> (Mapping, MapStats) {
+///
+/// Runs through a level-reused workspace.
+pub fn hec2(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
     let n = g.n();
     if n <= 1 {
         return (
@@ -179,7 +161,7 @@ pub fn hec2_in(
             MapStats::default(),
         );
     }
-    heavy_neighbors_in(policy, g, &mut ws.heavy);
+    heavy_neighbors(policy, g, &mut ws.heavy);
     random_permutation_in(policy, n, seed, &mut ws.perm_keys, &mut ws.queue);
     // X[v] = winning proposer, chosen in permutation order for the serial
     // policy (first CAS wins under parallel policies).
@@ -221,7 +203,7 @@ pub fn hec2_in(
             }
         });
     }
-    let mapping = relabel_premarked_in(policy, y, ws);
+    let mapping = relabel_premarked(policy, y, ws);
     (
         mapping,
         MapStats {
@@ -235,7 +217,7 @@ pub fn hec2_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::{testkit, MapMethod};
+    use crate::mapping::{find_mapping, testkit, MapMethod};
     use mlcg_graph::builder::from_edges_weighted;
     use mlcg_graph::generators as gen;
 
@@ -252,11 +234,8 @@ mod tests {
     #[test]
     fn aggregates_connected_both_variants() {
         for (name, g) in testkit::battery() {
-            for f in [
-                hec2 as fn(&ExecPolicy, &Csr, u64) -> (Mapping, MapStats),
-                hec3,
-            ] {
-                let (m, _) = f(&ExecPolicy::serial(), &g, 13);
+            for method in [MapMethod::Hec2, MapMethod::Hec3] {
+                let (m, _) = find_mapping(&ExecPolicy::serial(), &g, method, 13);
                 testkit::check_mapping(name, &g, &m);
                 testkit::check_aggregates_connected(&g, &m);
             }
@@ -270,12 +249,12 @@ mod tests {
         // it only when each endpoint wins the other's proposal race.
         for seed in 0..10 {
             let g = from_edges_weighted(4, &[(0, 1, 9), (1, 2, 1), (2, 3, 1), (3, 0, 1)]);
-            let (m3, _) = hec3(&ExecPolicy::serial(), &g, seed);
+            let (m3, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hec3, seed);
             assert_eq!(
                 m3.map[0], m3.map[1],
                 "HEC3 collapses 2-cycles (seed {seed})"
             );
-            let (m2, _) = hec2(&ExecPolicy::serial(), &g, seed);
+            let (m2, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hec2, seed);
             m2.validate().unwrap();
         }
     }
@@ -283,7 +262,7 @@ mod tests {
     #[test]
     fn hec2_makes_progress_on_a_single_mutual_pair() {
         let g = from_edges_weighted(2, &[(0, 1, 5)]);
-        let (m, _) = hec2(&ExecPolicy::serial(), &g, 3);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hec2, 3);
         assert_eq!(m.n_coarse, 1, "the pair's two orientations agree on min id");
     }
 
@@ -294,9 +273,9 @@ mod tests {
         // with a tolerance (randomized tie-breaks can flip near-equal cases).
         let (g, _) = mlcg_graph::cc::largest_component(&gen::rmat(11, 8, 0.57, 0.19, 0.19, 2));
         let p = ExecPolicy::serial();
-        let (mh, _) = crate::mapping::hec::hec(&p, &g, 3);
-        let (m3, _) = hec3(&p, &g, 3);
-        let (m2, _) = hec2(&p, &g, 3);
+        let (mh, _) = find_mapping(&p, &g, MapMethod::Hec, 3);
+        let (m3, _) = find_mapping(&p, &g, MapMethod::Hec3, 3);
+        let (m2, _) = find_mapping(&p, &g, MapMethod::Hec2, 3);
         assert!(
             mh.n_coarse as f64 <= m3.n_coarse as f64 * 1.05,
             "{} vs {}",
@@ -314,21 +293,21 @@ mod tests {
     #[test]
     fn hec3_star_single_aggregate() {
         let g = gen::star(30);
-        let (m, _) = hec3(&ExecPolicy::serial(), &g, 1);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hec3, 1);
         assert_eq!(m.n_coarse, 1);
     }
 
     #[test]
     fn hec2_deterministic_for_serial_policy() {
         let g = gen::grid2d(25, 25);
-        let (a, _) = hec2(&ExecPolicy::serial(), &g, 7);
-        let (b, _) = hec2(&ExecPolicy::serial(), &g, 7);
+        let (a, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hec2, 7);
+        let (b, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hec2, 7);
         assert_eq!(
             a, b,
             "serial HEC2 resolves proposal races in permutation order"
         );
         for policy in ExecPolicy::all_test_policies() {
-            let (c, _) = hec2(&policy, &g, 7);
+            let (c, _) = find_mapping(&policy, &g, MapMethod::Hec2, 7);
             c.validate().unwrap();
         }
     }
@@ -336,8 +315,8 @@ mod tests {
     #[test]
     fn hec3_seed_changes_roots_but_not_validity() {
         let g = gen::grid2d(30, 30);
-        let (a, _) = hec3(&ExecPolicy::serial(), &g, 1);
-        let (b, _) = hec3(&ExecPolicy::serial(), &g, 2);
+        let (a, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hec3, 1);
+        let (b, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hec3, 2);
         a.validate().unwrap();
         b.validate().unwrap();
         // Different seeds permute mutual-pair representatives.

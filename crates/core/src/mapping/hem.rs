@@ -8,7 +8,7 @@
 //! singletons, which is exactly the *stalling* phenomenon two-hop matching
 //! (see [`super::twohop`]) exists to mitigate.
 
-use super::util::{heavy_neighbor_where, relabel_in};
+use super::util::{heavy_neighbor_where, relabel};
 use super::workspace::MapWorkspace;
 use super::{MapStats, Mapping, UNMAPPED};
 use mlcg_graph::{Csr, VId};
@@ -20,32 +20,17 @@ use std::sync::atomic::Ordering;
 
 const FREE: u32 = u32::MAX;
 
-/// Parallel HEM. Returns raw (pre-relabel) matching in `M` plus stats.
-/// Unmatched vertices become singleton aggregates.
-pub fn hem(policy: &ExecPolicy, g: &Csr, seed: u64) -> (Mapping, MapStats) {
-    hem_in(policy, g, seed, &mut MapWorkspace::new())
-}
-
-/// [`hem`] through a level-reused workspace.
-pub fn hem_in(
-    policy: &ExecPolicy,
-    g: &Csr,
-    seed: u64,
-    ws: &mut MapWorkspace,
-) -> (Mapping, MapStats) {
-    let (raw, stats) = hem_raw_in(policy, g, seed, ws);
-    (relabel_in(policy, finalize_singletons(raw), ws), stats)
+/// Parallel HEM through a level-reused workspace. Unmatched vertices
+/// become singleton aggregates.
+pub fn hem(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
+    let (raw, stats) = hem_raw(policy, g, seed, ws);
+    (relabel(policy, finalize_singletons(raw), ws), stats)
 }
 
 /// The matching phase shared with two-hop coarsening: returns `M` where
 /// matched vertices carry the *smaller endpoint's id* as a raw label and
 /// unmatched vertices remain [`UNMAPPED`].
-pub fn hem_raw(policy: &ExecPolicy, g: &Csr, seed: u64) -> (Vec<u32>, MapStats) {
-    hem_raw_in(policy, g, seed, &mut MapWorkspace::new())
-}
-
-/// [`hem_raw`] through a level-reused workspace.
-pub fn hem_raw_in(
+pub(crate) fn hem_raw(
     policy: &ExecPolicy,
     g: &Csr,
     seed: u64,
@@ -149,7 +134,7 @@ pub fn finalize_singletons(mut m: Vec<u32>) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::{testkit, MapMethod};
+    use crate::mapping::{find_mapping, testkit, MapMethod};
     use mlcg_graph::builder::from_edges_weighted;
     use mlcg_graph::generators as gen;
 
@@ -163,7 +148,7 @@ mod tests {
         // Aggregates have size <= 2 — the defining matching property.
         for (name, g) in testkit::battery() {
             for policy in ExecPolicy::all_test_policies() {
-                let (m, _) = hem(&policy, &g, 17);
+                let (m, _) = find_mapping(&policy, &g, MapMethod::Hem, 17);
                 testkit::check_mapping(name, &g, &m);
                 let max = m.aggregate_sizes().into_iter().max().unwrap_or(0);
                 assert!(
@@ -177,7 +162,7 @@ mod tests {
     #[test]
     fn matched_pairs_are_adjacent() {
         let g = gen::grid2d(15, 15);
-        let (m, _) = hem(&ExecPolicy::serial(), &g, 23);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hem, 23);
         let mut members: Vec<Vec<u32>> = vec![vec![]; m.n_coarse];
         for (u, &a) in m.map.iter().enumerate() {
             members[a as usize].push(u as u32);
@@ -195,7 +180,7 @@ mod tests {
         // HEM on a star: the hub matches one leaf; all other leaves stall
         // as singletons, so the coarsening ratio approaches 1.
         let g = gen::star(40);
-        let (m, _) = hem(&ExecPolicy::serial(), &g, 3);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hem, 3);
         assert_eq!(m.n_coarse, 39, "one pair plus 38 singletons");
         assert!(m.coarsening_ratio() < 1.1);
     }
@@ -204,7 +189,7 @@ mod tests {
     fn heavy_edge_is_preferred() {
         // 1 -(1)- 0 -(9)- 2: the matching must take (0,2).
         let g = from_edges_weighted(3, &[(0, 1, 1), (0, 2, 9)]);
-        let (m, _) = hem(&ExecPolicy::serial(), &g, 7);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hem, 7);
         assert_eq!(m.map[0], m.map[2]);
         assert_ne!(m.map[0], m.map[1]);
     }
@@ -212,7 +197,7 @@ mod tests {
     #[test]
     fn path_matches_nearly_perfectly() {
         let g = gen::path(100);
-        let (m, _) = hem(&ExecPolicy::serial(), &g, 5);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hem, 5);
         // A path has a perfect or near-perfect matching; allow some slack
         // from the randomized order.
         assert!(
@@ -225,7 +210,7 @@ mod tests {
     #[test]
     fn hem_raw_labels_are_min_endpoints() {
         let g = gen::cycle(10);
-        let (raw, _) = hem_raw(&ExecPolicy::serial(), &g, 1);
+        let (raw, _) = hem_raw(&ExecPolicy::serial(), &g, 1, &mut MapWorkspace::new());
         for (u, &l) in raw.iter().enumerate() {
             if l != UNMAPPED {
                 assert!(l as usize <= u || raw[l as usize] == l);

@@ -8,7 +8,7 @@
 //! root at distance one, and the remainder through a mapped neighbor
 //! (distance two) — maximality guarantees two sweeps suffice.
 
-use super::util::relabel_in;
+use super::util::relabel;
 use super::workspace::MapWorkspace;
 use super::{MapStats, Mapping, UNMAPPED};
 use mlcg_graph::{Csr, VId};
@@ -19,18 +19,8 @@ const UNDECIDED: u32 = 0;
 const IN_MIS: u32 = 1;
 const REMOVED: u32 = 2;
 
-/// MIS(2) coarsening.
-pub fn mis2(policy: &ExecPolicy, g: &Csr, seed: u64) -> (Mapping, MapStats) {
-    mis2_in(policy, g, seed, &mut MapWorkspace::new())
-}
-
-/// [`mis2`] through a level-reused workspace.
-pub fn mis2_in(
-    policy: &ExecPolicy,
-    g: &Csr,
-    seed: u64,
-    ws: &mut MapWorkspace,
-) -> (Mapping, MapStats) {
+/// MIS(2) coarsening through a level-reused workspace.
+pub fn mis2(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
     let n = g.n();
     if n <= 1 {
         return (
@@ -227,13 +217,13 @@ pub fn mis2_in(
             "MIS(2) aggregation stalled (disconnected input?)"
         );
     }
-    (relabel_in(policy, m, ws), stats)
+    (relabel(policy, m, ws), stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::{testkit, MapMethod};
+    use crate::mapping::{find_mapping, testkit, MapMethod};
     use mlcg_graph::generators as gen;
 
     /// BFS distance between two vertices (test helper).
@@ -270,7 +260,7 @@ mod tests {
         // to every member (the star center). Simpler: rerun and inspect.
         let g = gen::grid2d(9, 9);
         let n = g.n();
-        let (m, _) = mis2(&ExecPolicy::serial(), &g, 7);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Mis2, 7);
         // Recover one representative per aggregate: a member whose every
         // aggregate sibling is within distance 2 — take the member that is
         // within distance 2 of all others.
@@ -294,7 +284,7 @@ mod tests {
     fn aggressive_on_dense_graphs() {
         // On a clique, the entire graph is one aggregate.
         let g = gen::complete(20);
-        let (m, _) = mis2(&ExecPolicy::serial(), &g, 3);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Mis2, 3);
         assert_eq!(m.n_coarse, 1);
     }
 
@@ -303,14 +293,14 @@ mod tests {
         // MIS(2) needs far fewer levels than matching; per level, its
         // ratio on meshes is well above 2 (aggregates are distance-2 balls).
         let g = gen::grid2d(25, 25);
-        let (m, _) = mis2(&ExecPolicy::serial(), &g, 5);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Mis2, 5);
         assert!(m.coarsening_ratio() > 3.0, "ratio {}", m.coarsening_ratio());
     }
 
     #[test]
     fn aggregates_connected() {
         for (name, g) in testkit::battery() {
-            let (m, _) = mis2(&ExecPolicy::serial(), &g, 11);
+            let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Mis2, 11);
             testkit::check_mapping(name, &g, &m);
             testkit::check_aggregates_connected(&g, &m);
         }
@@ -319,7 +309,7 @@ mod tests {
     #[test]
     fn path_roots_spacing() {
         let g = gen::path(30);
-        let (m, _) = mis2(&ExecPolicy::serial(), &g, 13);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Mis2, 13);
         // On a path, aggregates are intervals of length <= 5 (center +- 2).
         let sizes = m.aggregate_sizes();
         assert!(sizes.iter().all(|&s| s <= 5), "sizes {sizes:?}");

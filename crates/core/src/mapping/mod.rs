@@ -224,17 +224,17 @@ pub fn find_mapping_in(
 ) -> (Mapping, MapStats) {
     let _k = profile::kernel("map");
     match method {
-        MapMethod::Hec => hec::hec_in(policy, g, seed, ws),
-        MapMethod::Hec2 => hec23::hec2_in(policy, g, seed, ws),
-        MapMethod::Hec3 => hec23::hec3_in(policy, g, seed, ws),
-        MapMethod::Hem => hem::hem_in(policy, g, seed, ws),
-        MapMethod::MtMetis => twohop::mtmetis_in(policy, g, seed, ws),
-        MapMethod::Gosh => gosh::gosh_in(policy, g, seed, ws),
-        MapMethod::GoshHec => gosh::gosh_hec_in(policy, g, seed, ws),
-        MapMethod::Mis2 => mis2::mis2_in(policy, g, seed, ws),
-        MapMethod::Suitor => suitor::suitor_in(policy, g, seed, ws),
-        MapMethod::SeqHec => seq::seq_hec_in(g, seed, ws),
-        MapMethod::SeqHem => seq::seq_hem_in(g, seed, ws),
+        MapMethod::Hec => hec::hec(policy, g, seed, ws),
+        MapMethod::Hec2 => hec23::hec2(policy, g, seed, ws),
+        MapMethod::Hec3 => hec23::hec3(policy, g, seed, ws),
+        MapMethod::Hem => hem::hem(policy, g, seed, ws),
+        MapMethod::MtMetis => twohop::mtmetis(policy, g, seed, ws),
+        MapMethod::Gosh => gosh::gosh(policy, g, seed, ws),
+        MapMethod::GoshHec => gosh::gosh_hec(policy, g, seed, ws),
+        MapMethod::Mis2 => mis2::mis2(policy, g, seed, ws),
+        MapMethod::Suitor => suitor::suitor(policy, g, seed, ws),
+        MapMethod::SeqHec => seq::seq_hec(g, seed, ws),
+        MapMethod::SeqHem => seq::seq_hem(g, seed, ws),
     }
 }
 

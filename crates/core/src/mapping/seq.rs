@@ -2,7 +2,7 @@
 //! HEC (Algorithm 3). These define the semantics the parallelizations
 //! relax, and serve as test oracles for aggregate-structure invariants.
 
-use super::util::relabel_in;
+use super::util::relabel;
 use super::workspace::MapWorkspace;
 use super::{MapStats, Mapping, UNMAPPED};
 use mlcg_graph::{Csr, VId};
@@ -11,13 +11,8 @@ use mlcg_par::ExecPolicy;
 
 /// Sequential Heavy Edge Matching (Algorithm 2): visit vertices in random
 /// order; an unmatched vertex pairs with its heaviest *unmatched* neighbor,
-/// or becomes a singleton.
-pub fn seq_hem(g: &Csr, seed: u64) -> (Mapping, MapStats) {
-    seq_hem_in(g, seed, &mut MapWorkspace::new())
-}
-
-/// [`seq_hem`] through a level-reused workspace.
-pub fn seq_hem_in(g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
+/// or becomes a singleton. Runs through a level-reused workspace.
+pub fn seq_hem(g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
     let n = g.n();
     let serial = ExecPolicy::serial();
     random_permutation_in(&serial, n, seed, &mut ws.perm_keys, &mut ws.queue);
@@ -55,14 +50,10 @@ pub fn seq_hem_in(g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapSta
 /// Sequential Heavy Edge Coarsening (Algorithm 3): visit vertices in random
 /// order; an unmapped vertex joins its heaviest neighbor's aggregate,
 /// creating it if the neighbor is also unmapped. Requires a connected graph
-/// (every vertex has a heaviest neighbor).
-pub fn seq_hec(g: &Csr, seed: u64) -> (Mapping, MapStats) {
-    seq_hec_in(g, seed, &mut MapWorkspace::new())
-}
-
-/// [`seq_hec`] through a level-reused workspace (the membership scratch
-/// array lives in `ws.own`; only `raw` escapes into the relabel).
-pub fn seq_hec_in(g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
+/// (every vertex has a heaviest neighbor). Runs through a level-reused
+/// workspace: the membership scratch array lives in `ws.own`, and only
+/// `raw` escapes into the relabel.
+pub fn seq_hec(g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
     let n = g.n();
     if n <= 1 {
         return (
@@ -98,7 +89,7 @@ pub fn seq_hec_in(g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapSta
         m[u as usize] = m[x as usize];
         raw[u as usize] = m[x as usize];
     }
-    let mapping = relabel_in(&serial, raw, ws);
+    let mapping = relabel(&serial, raw, ws);
     (
         mapping,
         MapStats {
@@ -112,7 +103,7 @@ pub fn seq_hec_in(g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapSta
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::{testkit, MapMethod};
+    use crate::mapping::{find_mapping, testkit, MapMethod};
     use mlcg_graph::builder::from_edges_weighted;
     use mlcg_graph::generators as gen;
 
@@ -129,7 +120,7 @@ mod tests {
     #[test]
     fn seq_hem_is_a_maximal_matching() {
         for (name, g) in testkit::battery() {
-            let (m, _) = seq_hem(&g, 3);
+            let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::SeqHem, 3);
             let sizes = m.aggregate_sizes();
             assert!(sizes.iter().all(|&s| s <= 2), "{name}: matching bound");
             // Maximality: no edge joins two singleton aggregates.
@@ -156,7 +147,7 @@ mod tests {
         // creates or joins an aggregate containing 0, and 1 inherits it.
         for seed in 0..20 {
             let g = from_edges_weighted(3, &[(0, 1, 9), (0, 2, 1)]);
-            let (m, _) = seq_hec(&g, seed);
+            let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::SeqHec, seed);
             assert_eq!(m.map[0], m.map[1], "seed {seed}");
         }
     }
@@ -164,7 +155,7 @@ mod tests {
     #[test]
     fn seq_hec_aggregates_connected() {
         for (name, g) in testkit::battery() {
-            let (m, _) = seq_hec(&g, 7);
+            let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::SeqHec, 7);
             testkit::check_mapping(name, &g, &m);
             testkit::check_aggregates_connected(&g, &m);
         }
@@ -172,16 +163,17 @@ mod tests {
 
     #[test]
     fn seq_hec_star_is_single_aggregate() {
-        let (m, _) = seq_hec(&gen::star(30), 1);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &gen::star(30), MapMethod::SeqHec, 1);
         assert_eq!(m.n_coarse, 1);
     }
 
     #[test]
     fn deterministic_per_seed() {
         let g = gen::grid2d(15, 15);
-        assert_eq!(seq_hec(&g, 5).0, seq_hec(&g, 5).0);
-        assert_eq!(seq_hem(&g, 5).0, seq_hem(&g, 5).0);
-        assert_ne!(seq_hec(&g, 5).0, seq_hec(&g, 6).0);
+        let map = |method, seed| find_mapping(&ExecPolicy::serial(), &g, method, seed).0;
+        assert_eq!(map(MapMethod::SeqHec, 5), map(MapMethod::SeqHec, 5));
+        assert_eq!(map(MapMethod::SeqHem, 5), map(MapMethod::SeqHem, 5));
+        assert_ne!(map(MapMethod::SeqHec, 5), map(MapMethod::SeqHec, 6));
     }
 
     #[test]
@@ -189,8 +181,8 @@ mod tests {
         // The parallel algorithm is "in the spirit of" the sequential one:
         // coarse counts should be in the same ballpark.
         let (g, _) = mlcg_graph::cc::largest_component(&gen::rmat(10, 8, 0.57, 0.19, 0.19, 2));
-        let (seq, _) = seq_hec(&g, 3);
-        let (par, _) = crate::mapping::hec::hec(&ExecPolicy::serial(), &g, 3);
+        let (seq, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::SeqHec, 3);
+        let (par, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hec, 3);
         let ratio = par.n_coarse as f64 / seq.n_coarse as f64;
         assert!(
             (0.5..2.0).contains(&ratio),

@@ -15,7 +15,7 @@
 //! (like HEM).
 
 use super::hem::finalize_singletons;
-use super::util::{relabel, relabel_in};
+use super::util::relabel;
 use super::workspace::MapWorkspace;
 use super::{MapStats, Mapping, UNMAPPED};
 use mlcg_graph::{Csr, VId};
@@ -35,15 +35,11 @@ fn edge_prio(seed: u64, u: u32, v: u32) -> u64 {
     hash_index(seed, ((a as u64) << 32) | b as u64)
 }
 
-/// Suitor-based matching coarsening.
-pub fn suitor(policy: &ExecPolicy, g: &Csr, seed: u64) -> (Mapping, MapStats) {
-    suitor_in(policy, g, seed, &mut MapWorkspace::new())
-}
-
-/// [`suitor`] through a level-reused workspace: the suitor array lives in
-/// `ws.own`, the (weight, priority) offer keys are split across the two
-/// u64 scratch arrays, and the permutation doubles as the work stack.
-pub fn suitor_in(
+/// Suitor-based matching coarsening through a level-reused workspace: the
+/// suitor array lives in `ws.own`, the (weight, priority) offer keys are
+/// split across the two u64 scratch arrays, and the permutation doubles
+/// as the work stack.
+pub fn suitor(
     policy: &ExecPolicy,
     g: &Csr,
     seed: u64,
@@ -113,7 +109,7 @@ pub fn suitor_in(
             m[v as usize] = label;
         }
     }
-    let mapping = relabel_in(policy, finalize_singletons(m), ws);
+    let mapping = relabel(policy, finalize_singletons(m), ws);
     (
         mapping,
         MapStats {
@@ -206,7 +202,7 @@ pub fn b_suitor(policy: &ExecPolicy, g: &Csr, b: usize, seed: u64) -> (Mapping, 
     for u in 0..n as u32 {
         raw[u as usize] = dsu.find(u);
     }
-    let mapping = relabel(policy, raw);
+    let mapping = relabel(policy, raw, &mut MapWorkspace::new());
     (
         mapping,
         MapStats {
@@ -236,7 +232,7 @@ pub fn matching_weight(g: &Csr, mapping: &Mapping) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::testkit;
+    use crate::mapping::{find_mapping, testkit, MapMethod};
     use mlcg_graph::builder::from_edges_weighted;
     use mlcg_graph::generators as gen;
 
@@ -244,7 +240,7 @@ mod tests {
     fn battery() {
         for policy in ExecPolicy::all_test_policies() {
             for (name, g) in testkit::battery() {
-                let (m, _) = suitor(&policy, &g, 42);
+                let (m, _) = find_mapping(&policy, &g, MapMethod::Suitor, 42);
                 testkit::check_mapping(name, &g, &m);
                 assert!(
                     m.aggregate_sizes().into_iter().max().unwrap_or(0) <= 2,
@@ -258,7 +254,7 @@ mod tests {
     fn matches_greedy_on_weighted_path() {
         // Path with weights 1, 9, 1: greedy takes the middle edge only.
         let g = from_edges_weighted(4, &[(0, 1, 1), (1, 2, 9), (2, 3, 1)]);
-        let (m, _) = suitor(&ExecPolicy::serial(), &g, 5);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Suitor, 5);
         assert_eq!(m.map[1], m.map[2]);
         assert_ne!(m.map[0], m.map[1]);
         assert_ne!(m.map[3], m.map[2]);
@@ -269,7 +265,7 @@ mod tests {
     fn half_approximation_bound_on_even_path() {
         // Path of 2k vertices with unit weights: max matching = k.
         let g = gen::path(20);
-        let (m, _) = suitor(&ExecPolicy::serial(), &g, 7);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Suitor, 7);
         let w = matching_weight(&g, &m);
         assert!(w * 2 >= 10, "suitor weight {w} below the 1/2-approx bound");
     }
@@ -293,8 +289,8 @@ mod tests {
         }
         let g = mlcg_graph::cc::largest_component(&from_edges_weighted(n, &edges)).0;
         let p = ExecPolicy::serial();
-        let (ms, _) = suitor(&p, &g, 1);
-        let (mh, _) = crate::mapping::hem::hem(&p, &g, 1);
+        let (ms, _) = find_mapping(&p, &g, MapMethod::Suitor, 1);
+        let (mh, _) = find_mapping(&p, &g, MapMethod::Hem, 1);
         let (ws, wh) = (matching_weight(&g, &ms), matching_weight(&g, &mh));
         assert!(
             ws as f64 >= 0.9 * wh as f64,
@@ -306,7 +302,7 @@ mod tests {
     fn b_suitor_matches_suitor_for_b_one() {
         for (name, g) in testkit::battery() {
             let p = ExecPolicy::serial();
-            let (m1, _) = suitor(&p, &g, 11);
+            let (m1, _) = find_mapping(&p, &g, MapMethod::Suitor, 11);
             let (mb, _) = b_suitor(&p, &g, 1, 11);
             // The matchings coincide (same greedy fixpoint), so the
             // aggregate structure must be identical.
@@ -326,7 +322,7 @@ mod tests {
         crate::mapping::testkit::check_aggregates_connected(&g, &m);
         // 2-matching components are paths/cycles: ratio in (1, 3+] but the
         // coarse count must be well below HEM's (more merges allowed).
-        let (mh, _) = crate::mapping::hem::hem(&ExecPolicy::serial(), &g, 5);
+        let (mh, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hem, 5);
         assert!(
             m.n_coarse <= mh.n_coarse,
             "b=2 should merge at least as much"
@@ -366,7 +362,7 @@ mod tests {
     #[test]
     fn matching_is_maximal() {
         let g = gen::grid2d(10, 10);
-        let (m, _) = suitor(&ExecPolicy::serial(), &g, 9);
+        let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Suitor, 9);
         let sizes = m.aggregate_sizes();
         for u in 0..g.n() as u32 {
             for &v in g.neighbors(u) {

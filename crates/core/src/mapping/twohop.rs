@@ -13,8 +13,8 @@
 //! Each later class runs only if the previous classes left the unmatched
 //! ratio above the threshold, mirroring mt-Metis.
 
-use super::hem::{finalize_singletons, hem_raw_in};
-use super::util::relabel_in;
+use super::hem::{finalize_singletons, hem_raw};
+use super::util::relabel;
 use super::workspace::MapWorkspace;
 use super::{MapStats, Mapping, UNMAPPED};
 use mlcg_graph::{Csr, VId};
@@ -24,27 +24,6 @@ use mlcg_par::rng::mix;
 use mlcg_par::sort::par_radix_sort_pairs;
 use mlcg_par::{parallel_count, parallel_for, profile, ExecPolicy};
 use std::sync::atomic::Ordering;
-
-/// Tuning knobs for the two-hop stages (defaults follow mt-Metis).
-#[derive(Clone, Debug)]
-pub struct TwoHopConfig {
-    /// Engage two-hop stages while `unmatched / n` exceeds this.
-    pub unmatched_ratio: f64,
-    /// Twins are only sought among vertices of at most this degree.
-    pub twin_degree_cap: usize,
-    /// Relatives skip intermediaries with more neighbors than this.
-    pub relative_degree_cap: usize,
-}
-
-impl Default for TwoHopConfig {
-    fn default() -> Self {
-        TwoHopConfig {
-            unmatched_ratio: 0.25,
-            twin_degree_cap: 64,
-            relative_degree_cap: 1024,
-        }
-    }
-}
 
 /// Engage two-hop stages while `unmatched / n` exceeds this (mt-Metis').
 pub const UNMATCHED_RATIO: f64 = 0.25;
@@ -56,57 +35,31 @@ pub const RELATIVE_DEGREE_CAP: usize = 1024;
 const FREE: u32 = u32::MAX;
 
 /// HEM followed by threshold-gated leaf, twin, and relative matching,
-/// with the default mt-Metis thresholds.
-pub fn mtmetis(policy: &ExecPolicy, g: &Csr, seed: u64) -> (Mapping, MapStats) {
-    mtmetis_with(policy, g, seed, &TwoHopConfig::default())
-}
-
-/// [`mtmetis`] through a level-reused workspace.
-pub fn mtmetis_in(
+/// with the mt-Metis thresholds, through a level-reused workspace.
+pub fn mtmetis(
     policy: &ExecPolicy,
     g: &Csr,
     seed: u64,
-    ws: &mut MapWorkspace,
-) -> (Mapping, MapStats) {
-    mtmetis_with_in(policy, g, seed, &TwoHopConfig::default(), ws)
-}
-
-/// [`mtmetis`] with explicit thresholds.
-pub fn mtmetis_with(
-    policy: &ExecPolicy,
-    g: &Csr,
-    seed: u64,
-    cfg: &TwoHopConfig,
-) -> (Mapping, MapStats) {
-    mtmetis_with_in(policy, g, seed, cfg, &mut MapWorkspace::new())
-}
-
-/// [`mtmetis_with`] through a level-reused workspace.
-pub fn mtmetis_with_in(
-    policy: &ExecPolicy,
-    g: &Csr,
-    seed: u64,
-    cfg: &TwoHopConfig,
     ws: &mut MapWorkspace,
 ) -> (Mapping, MapStats) {
     let n = g.n();
-    let (mut raw, mut stats) = hem_raw_in(policy, g, seed, ws);
+    let (mut raw, mut stats) = hem_raw(policy, g, seed, ws);
     if n > 1 {
         let unmatched = |m: &[u32]| parallel_count(policy, n, |u| m[u] == UNMAPPED);
-        if unmatched(&raw) as f64 > cfg.unmatched_ratio * n as f64 {
+        if unmatched(&raw) as f64 > UNMATCHED_RATIO * n as f64 {
             match_leaves(policy, g, &mut raw);
             stats.passes += 1;
-            if unmatched(&raw) as f64 > cfg.unmatched_ratio * n as f64 {
-                match_twins_capped_in(policy, g, &mut raw, cfg.twin_degree_cap, ws);
+            if unmatched(&raw) as f64 > UNMATCHED_RATIO * n as f64 {
+                match_twins(policy, g, &mut raw, ws);
                 stats.passes += 1;
-                if unmatched(&raw) as f64 > cfg.unmatched_ratio * n as f64 {
-                    match_relatives_capped_in(policy, g, &mut raw, cfg.relative_degree_cap, ws);
+                if unmatched(&raw) as f64 > UNMATCHED_RATIO * n as f64 {
+                    match_relatives(policy, g, &mut raw, ws);
                     stats.passes += 1;
                 }
             }
         }
     }
-    (relabel_in(policy, finalize_singletons(raw), ws), stats)
+    (relabel(policy, finalize_singletons(raw), ws), stats)
 }
 
 /// Pair unmatched degree-1 vertices that hang off the same vertex
@@ -137,33 +90,17 @@ pub fn match_leaves(policy: &ExecPolicy, g: &Csr, m: &mut [u32]) {
 }
 
 /// Pair unmatched vertices with *identical* adjacency lists
-/// (Algorithm 12). Candidates are hashed by adjacency, sorted by hash, and
+/// (Algorithm 12) among vertices of degree at most [`TWIN_DEGREE_CAP`].
+/// Candidates are gathered with a parallel compaction into `ws.qscratch`,
+/// hashed by adjacency into `ws.perm_keys`, sorted by hash, and
 /// equal-hash runs are verified and paired.
-pub fn match_twins(policy: &ExecPolicy, g: &Csr, m: &mut [u32]) {
-    match_twins_capped(policy, g, m, TWIN_DEGREE_CAP)
-}
-
-/// [`match_twins`] with an explicit degree cap.
-pub fn match_twins_capped(policy: &ExecPolicy, g: &Csr, m: &mut [u32], cap: usize) {
-    match_twins_capped_in(policy, g, m, cap, &mut MapWorkspace::new())
-}
-
-/// [`match_twins_capped`] through a level-reused workspace: the candidate
-/// list is gathered with a parallel compaction into `ws.qscratch` and the
-/// adjacency hashes live in `ws.perm_keys`.
-pub(crate) fn match_twins_capped_in(
-    policy: &ExecPolicy,
-    g: &Csr,
-    m: &mut [u32],
-    cap: usize,
-    ws: &mut MapWorkspace,
-) {
+pub fn match_twins(policy: &ExecPolicy, g: &Csr, m: &mut [u32], ws: &mut MapWorkspace) {
     let _k = profile::kernel("twins");
     let n = g.n();
     filter_range_in(
         policy,
         n,
-        |u| m[u as usize] == UNMAPPED && (2..=cap).contains(&g.degree(u)),
+        |u| m[u as usize] == UNMAPPED && (2..=TWIN_DEGREE_CAP).contains(&g.degree(u)),
         &mut ws.fcounts,
         &mut ws.qscratch,
     );
@@ -223,33 +160,18 @@ pub(crate) fn match_twins_capped_in(
 }
 
 /// Pair any two unmatched vertices adjacent to the same intermediary
-/// (Algorithm 13). A vertex may appear under several intermediaries, so
-/// ownership is claimed with a CAS array before the (sequential per
-/// intermediary) pairing.
-pub fn match_relatives(policy: &ExecPolicy, g: &Csr, m: &mut [u32]) {
-    match_relatives_capped(policy, g, m, RELATIVE_DEGREE_CAP)
-}
-
-/// [`match_relatives`] with an explicit intermediary degree cap.
-pub fn match_relatives_capped(policy: &ExecPolicy, g: &Csr, m: &mut [u32], cap: usize) {
-    match_relatives_capped_in(policy, g, m, cap, &mut MapWorkspace::new())
-}
-
-/// [`match_relatives_capped`] with the claim array pooled in `ws.own`.
-pub(crate) fn match_relatives_capped_in(
-    policy: &ExecPolicy,
-    g: &Csr,
-    m: &mut [u32],
-    cap: usize,
-    ws: &mut MapWorkspace,
-) {
+/// (Algorithm 13), skipping intermediaries of degree above
+/// [`RELATIVE_DEGREE_CAP`]. A vertex may appear under several
+/// intermediaries, so ownership is claimed with a CAS array (pooled in
+/// `ws.own`) before the (sequential per intermediary) pairing.
+pub fn match_relatives(policy: &ExecPolicy, g: &Csr, m: &mut [u32], ws: &mut MapWorkspace) {
     let _k = profile::kernel("relatives");
     let n = g.n();
     MapWorkspace::filled(&mut ws.own, n, FREE);
     let c_at = as_atomic_u32(&mut ws.own);
     let m_at = as_atomic_u32(m);
     parallel_for(policy, n, |h| {
-        if g.degree(h as VId) > cap {
+        if g.degree(h as VId) > RELATIVE_DEGREE_CAP {
             return;
         }
         let mut prev: Option<u32> = None;
@@ -282,7 +204,7 @@ pub(crate) fn match_relatives_capped_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::{testkit, MapMethod};
+    use crate::mapping::{find_mapping, testkit, MapMethod};
     use mlcg_graph::builder::from_edges_unit;
     use mlcg_graph::generators as gen;
 
@@ -294,7 +216,7 @@ mod tests {
     #[test]
     fn still_a_matching() {
         for (name, g) in testkit::battery() {
-            let (m, _) = mtmetis(&ExecPolicy::serial(), &g, 5);
+            let (m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::MtMetis, 5);
             let max = m.aggregate_sizes().into_iter().max().unwrap_or(0);
             assert!(
                 max <= 2,
@@ -306,8 +228,8 @@ mod tests {
     #[test]
     fn leaves_fix_the_star_stall() {
         let g = gen::star(41); // hub + 40 leaves
-        let (hem_m, _) = super::super::hem::hem(&ExecPolicy::serial(), &g, 3);
-        let (th_m, _) = mtmetis(&ExecPolicy::serial(), &g, 3);
+        let (hem_m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hem, 3);
+        let (th_m, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::MtMetis, 3);
         assert!(
             th_m.n_coarse < hem_m.n_coarse / 2 + 2,
             "two-hop {} vs HEM {}",
@@ -350,7 +272,7 @@ mod tests {
         let mut m = vec![UNMAPPED; 4];
         m[2] = 2;
         m[3] = 2; // block the direct matching
-        match_twins(&ExecPolicy::serial(), &g, &mut m);
+        match_twins(&ExecPolicy::serial(), &g, &mut m, &mut MapWorkspace::new());
         assert_eq!(m[0], m[1], "twins must pair");
         assert_ne!(m[0], UNMAPPED);
     }
@@ -363,7 +285,7 @@ mod tests {
         m[2] = 2;
         m[3] = 3;
         m[4] = 4;
-        match_twins(&ExecPolicy::serial(), &g, &mut m);
+        match_twins(&ExecPolicy::serial(), &g, &mut m, &mut MapWorkspace::new());
         assert_eq!(m[0], UNMAPPED);
         assert_eq!(m[1], UNMAPPED);
     }
@@ -374,7 +296,7 @@ mod tests {
         let g = gen::path(3);
         let mut m = vec![UNMAPPED; 3];
         m[1] = 1;
-        match_relatives(&ExecPolicy::serial(), &g, &mut m);
+        match_relatives(&ExecPolicy::serial(), &g, &mut m, &mut MapWorkspace::new());
         assert_eq!(m[0], m[2]);
         assert_ne!(m[0], UNMAPPED);
     }
@@ -386,7 +308,7 @@ mod tests {
         let (g, _) = mlcg_graph::cc::largest_component(&gen::rmat(9, 10, 0.5, 0.2, 0.2, 8));
         for policy in ExecPolicy::all_test_policies() {
             let mut m = vec![UNMAPPED; g.n()];
-            match_relatives(&policy, &g, &mut m);
+            match_relatives(&policy, &g, &mut m, &mut MapWorkspace::new());
             // Every non-UNMAPPED label names a group of exactly 2.
             let mut counts = std::collections::HashMap::new();
             for &l in m.iter().filter(|&&l| l != UNMAPPED) {
@@ -402,8 +324,8 @@ mod tests {
     fn better_than_hem_on_skewed_graphs() {
         let (g, _) = mlcg_graph::cc::largest_component(&gen::rmat(10, 6, 0.6, 0.18, 0.18, 4));
         let p = ExecPolicy::serial();
-        let (hm, _) = super::super::hem::hem(&p, &g, 9);
-        let (tm, _) = mtmetis(&p, &g, 9);
+        let (hm, _) = find_mapping(&p, &g, MapMethod::Hem, 9);
+        let (tm, _) = find_mapping(&p, &g, MapMethod::MtMetis, 9);
         assert!(
             tm.n_coarse <= hm.n_coarse,
             "two-hop should never coarsen less: {} vs {}",

@@ -10,15 +10,8 @@ use mlcg_par::{parallel_for, profile, ExecPolicy};
 /// Compute the heavy-neighbor array `H[u]`: the first maximum-weight
 /// neighbor in adjacency order (adjacency is sorted by id, so ties resolve
 /// to the smallest id — which guarantees the directed graph `u → H[u]` has
-/// no cycles longer than two).
-pub fn heavy_neighbors(policy: &ExecPolicy, g: &Csr) -> Vec<u32> {
-    let mut h = Vec::new();
-    heavy_neighbors_in(policy, g, &mut h);
-    h
-}
-
-/// [`heavy_neighbors`] into a caller-owned buffer.
-pub fn heavy_neighbors_in(policy: &ExecPolicy, g: &Csr, h: &mut Vec<u32>) {
+/// no cycles longer than two), written into a caller-owned buffer.
+pub fn heavy_neighbors(policy: &ExecPolicy, g: &Csr, h: &mut Vec<u32>) {
     let _k = profile::kernel("heavy_nbrs");
     let n = g.n();
     MapWorkspace::filled(h, n, UNMAPPED);
@@ -138,14 +131,10 @@ fn relabel_core<T: FlagWord>(
 }
 
 /// Relabel arbitrary labels in `0..n` to contiguous coarse ids `0..n_c`
-/// (parallel flag + prefix sum). Consumes the raw label array.
-pub fn relabel(policy: &ExecPolicy, labels: Vec<u32>) -> Mapping {
-    relabel_in(policy, labels, &mut MapWorkspace::new())
-}
-
-/// [`relabel`] through workspace flag buffers (width-adaptive: see
-/// [`FlagWord`]).
-pub fn relabel_in(policy: &ExecPolicy, mut labels: Vec<u32>, ws: &mut MapWorkspace) -> Mapping {
+/// (parallel flag + prefix sum). Consumes the raw label array. The flag
+/// buffer comes from the workspace and is `u32` wide whenever `n` fits,
+/// `usize` otherwise.
+pub fn relabel(policy: &ExecPolicy, mut labels: Vec<u32>, ws: &mut MapWorkspace) -> Mapping {
     let _k = profile::kernel("relabel");
     let n = labels.len();
     let n_coarse = if n < u32::MAX as usize {
@@ -162,7 +151,7 @@ pub fn relabel_in(policy: &ExecPolicy, mut labels: Vec<u32>, ws: &mut MapWorkspa
 /// Zero the narrow flag buffer for a fused mark: policies whose final pass
 /// already sweeps the label array call this first, write
 /// `flag[root] = 1` during that sweep (idempotent u32 writes), and finish
-/// with [`relabel_premarked_in`] — eliminating relabel's own mark
+/// with [`relabel_premarked`] — eliminating relabel's own mark
 /// traversal.
 pub(crate) fn prepare_premark(ws: &mut MapWorkspace, n: usize) -> &mut Vec<u32> {
     assert!(n < u32::MAX as usize, "premark requires the narrow flag");
@@ -171,9 +160,9 @@ pub(crate) fn prepare_premark(ws: &mut MapWorkspace, n: usize) -> &mut Vec<u32> 
     &mut ws.flag
 }
 
-/// [`relabel_in`] when `ws.flag` was already marked via
+/// [`relabel`] when `ws.flag` was already marked via
 /// [`prepare_premark`] — skips the mark pass.
-pub(crate) fn relabel_premarked_in(
+pub(crate) fn relabel_premarked(
     policy: &ExecPolicy,
     mut labels: Vec<u32>,
     ws: &mut MapWorkspace,
@@ -189,12 +178,6 @@ pub(crate) fn relabel_premarked_in(
     }
 }
 
-/// Collect the indices of still-unmapped vertices (the `R`/`Q` requeue of
-/// Algorithm 4's lines 22–28), via the order-stable parallel compaction.
-pub fn unmapped_vertices(policy: &ExecPolicy, m: &[u32], from: &[u32]) -> Vec<u32> {
-    mlcg_par::filter::filter_indices(policy, from, |u| m[u as usize] == UNMAPPED)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,13 +188,14 @@ mod tests {
     fn heavy_neighbor_prefers_weight_then_small_id() {
         // 1 -(5)- 0 -(5)- 2, 0 -(9)- 3.
         let g = from_edges_weighted(4, &[(0, 1, 5), (0, 2, 5), (0, 3, 9)]);
-        let h = heavy_neighbors(&ExecPolicy::serial(), &g);
+        let mut h = Vec::new();
+        heavy_neighbors(&ExecPolicy::serial(), &g, &mut h);
         assert_eq!(h[0], 3); // heaviest wins
         assert_eq!(h[1], 0);
         // Tie between 1 and 2 at vertex 0 would resolve to 1 (smaller id):
         let g2 = from_edges_weighted(3, &[(0, 1, 5), (0, 2, 5)]);
-        let h2 = heavy_neighbors(&ExecPolicy::serial(), &g2);
-        assert_eq!(h2[0], 1);
+        heavy_neighbors(&ExecPolicy::serial(), &g2, &mut h);
+        assert_eq!(h[0], 1);
     }
 
     #[test]
@@ -219,7 +203,8 @@ mod tests {
         // On an unweighted clique H[u] is the smallest other id, so the only
         // cycle is 0 <-> 1.
         let g = complete(6);
-        let h = heavy_neighbors(&ExecPolicy::serial(), &g);
+        let mut h = Vec::new();
+        heavy_neighbors(&ExecPolicy::serial(), &g, &mut h);
         assert_eq!(h[0], 1);
         for &hu in &h[1..6] {
             assert_eq!(hu, 0);
@@ -229,7 +214,11 @@ mod tests {
     #[test]
     fn relabel_compacts_labels() {
         // Raw labels use vertex ids {0, 3, 4}.
-        let m = relabel(&ExecPolicy::serial(), vec![3, 0, 3, 4, 0]);
+        let m = relabel(
+            &ExecPolicy::serial(),
+            vec![3, 0, 3, 4, 0],
+            &mut MapWorkspace::new(),
+        );
         assert_eq!(m.n_coarse, 3);
         m.validate().unwrap();
         assert_eq!(m.map[1], m.map[4]);
@@ -240,9 +229,9 @@ mod tests {
     #[test]
     fn relabel_parallel_matches_serial() {
         let raw: Vec<u32> = (0..10_000u32).map(|i| (i * 7919) % 500).collect();
-        let a = relabel(&ExecPolicy::serial(), raw.clone());
+        let a = relabel(&ExecPolicy::serial(), raw.clone(), &mut MapWorkspace::new());
         for policy in ExecPolicy::all_test_policies() {
-            let b = relabel(&policy, raw.clone());
+            let b = relabel(&policy, raw.clone(), &mut MapWorkspace::new());
             assert_eq!(a, b);
         }
     }
@@ -255,8 +244,8 @@ mod tests {
         let big: Vec<u32> = (0..50_000u32).map(|i| (i * 31) % 9000).collect();
         let small: Vec<u32> = (0..777u32).map(|i| (i * 13) % 111).collect();
         for raw in [big, small] {
-            let fresh = relabel(&ExecPolicy::host(), raw.clone());
-            let reused = relabel_in(&ExecPolicy::host(), raw, &mut ws);
+            let fresh = relabel(&ExecPolicy::host(), raw.clone(), &mut MapWorkspace::new());
+            let reused = relabel(&ExecPolicy::host(), raw, &mut ws);
             assert_eq!(fresh, reused);
         }
     }
@@ -267,13 +256,13 @@ mod tests {
             .map(|i| (i.wrapping_mul(2654435761)) % 4000)
             .collect();
         for policy in ExecPolicy::all_test_policies() {
-            let plain = relabel(&policy, raw.clone());
+            let plain = relabel(&policy, raw.clone(), &mut MapWorkspace::new());
             let mut ws = MapWorkspace::new();
             let flag = prepare_premark(&mut ws, raw.len());
             for &l in &raw {
                 flag[l as usize] = 1;
             }
-            let fused = relabel_premarked_in(&policy, raw.clone(), &mut ws);
+            let fused = relabel_premarked(&policy, raw.clone(), &mut ws);
             assert_eq!(plain, fused, "{policy}");
         }
     }
@@ -293,7 +282,7 @@ mod tests {
         // it, so the measured peaks are the *auxiliary* envelope only
         // (flag array + scan internals).
         let raw1 = raw.clone();
-        let (m1, narrow) = mlcg_par::mem::measure(|| relabel_in(&serial, raw1, &mut ws));
+        let (m1, narrow) = mlcg_par::mem::measure(|| relabel(&serial, raw1, &mut ws));
         let raw2 = raw.clone();
         let (m2, wide) = mlcg_par::mem::measure(|| {
             // The pre-rebuild implementation: usize flag array.
@@ -315,7 +304,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "unmapped")]
     fn relabel_rejects_unmapped() {
-        relabel(&ExecPolicy::serial(), vec![0, UNMAPPED]);
+        relabel(
+            &ExecPolicy::serial(),
+            vec![0, UNMAPPED],
+            &mut MapWorkspace::new(),
+        );
     }
 
     #[test]
@@ -325,14 +318,5 @@ mod tests {
         assert_eq!(h, Some(2));
         let none = heavy_neighbor_where(&g, 1, |_| false);
         assert_eq!(none, None);
-    }
-
-    #[test]
-    fn unmapped_collection() {
-        let m = vec![0, UNMAPPED, 2, UNMAPPED];
-        let q: Vec<u32> = (0..4).collect();
-        for policy in ExecPolicy::all_test_policies() {
-            assert_eq!(unmapped_vertices(&policy, &m, &q), vec![1, 3]);
-        }
     }
 }

@@ -48,7 +48,7 @@ pub struct MapWorkspace {
     /// MIS-2 distance-1-of-MIS flags.
     pub(crate) near: Vec<u8>,
     /// Relabel flag + prefix-sum array, narrow form (see
-    /// [`super::util::relabel_in`]'s width rule).
+    /// [`super::util::relabel`]'s width rule).
     pub(crate) flag: Vec<u32>,
     /// Relabel flag array, wide form (only when counts could exceed
     /// `u32`).

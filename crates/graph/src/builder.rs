@@ -42,17 +42,6 @@ pub fn from_edges_weighted(n: usize, edges: &[(VId, VId, Weight)]) -> Csr {
     build(&ExecPolicy::serial(), n, edges, MergeMode::Sum)
 }
 
-/// Parallel variant of [`from_edges_unit`].
-pub fn from_edges_unit_par(policy: &ExecPolicy, n: usize, edges: &[(VId, VId)]) -> Csr {
-    let weighted: Vec<(VId, VId, Weight)> = edges.iter().map(|&(u, v)| (u, v, 1)).collect();
-    build(policy, n, &weighted, MergeMode::Unit)
-}
-
-/// Parallel variant of [`from_edges_weighted`].
-pub fn from_edges_weighted_par(policy: &ExecPolicy, n: usize, edges: &[(VId, VId, Weight)]) -> Csr {
-    build(policy, n, edges, MergeMode::Sum)
-}
-
 /// In-memory build with an explicit duplicate-merge mode. The reference
 /// semantics the streamed path is property-tested against.
 pub fn from_edges_with_mode(
@@ -480,8 +469,9 @@ mod tests {
             })
             .collect();
         let serial = from_edges_unit(n, &edges);
+        let weighted: Vec<(VId, VId, Weight)> = edges.iter().map(|&(u, v)| (u, v, 1)).collect();
         for policy in ExecPolicy::all_test_policies() {
-            let par = from_edges_unit_par(&policy, n, &edges);
+            let par = from_edges_with_mode(&policy, n, &weighted, MergeMode::Unit);
             assert_eq!(serial, par, "policy {policy}");
         }
         serial.validate().unwrap();

@@ -48,86 +48,6 @@ impl Dsu {
     }
 }
 
-/// Parallel connected components in the Shiloach–Vishkin style: repeated
-/// min-label hooking followed by pointer jumping, running under the given
-/// execution policy. Returns contiguous labels and the component count;
-/// agrees exactly with [`components`] up to label permutation (asserted
-/// by the test suite).
-pub fn components_par(policy: &mlcg_par::ExecPolicy, g: &Csr) -> (Vec<u32>, usize) {
-    use mlcg_par::atomic::as_atomic_u32;
-    use std::sync::atomic::Ordering;
-
-    let n = g.n();
-    if n == 0 {
-        return (vec![], 0);
-    }
-    let mut parent: Vec<u32> = (0..n as u32).collect();
-    loop {
-        // Hook: point each root at the smallest neighboring root.
-        let mut changed = false;
-        {
-            let p_at = as_atomic_u32(&mut parent);
-            let changed_flag = std::sync::atomic::AtomicBool::new(false);
-            mlcg_par::parallel_for(policy, n, |u| {
-                let pu = p_at[u].load(Ordering::Relaxed);
-                for &v in g.neighbors(u as VId) {
-                    let pv = p_at[v as usize].load(Ordering::Relaxed);
-                    if pv < pu {
-                        // Atomic min-hook onto u's current root.
-                        let mut cur = p_at[pu as usize].load(Ordering::Relaxed);
-                        while pv < cur {
-                            match p_at[pu as usize].compare_exchange_weak(
-                                cur,
-                                pv,
-                                Ordering::AcqRel,
-                                Ordering::Relaxed,
-                            ) {
-                                Ok(_) => {
-                                    changed_flag.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                                Err(now) => cur = now,
-                            }
-                        }
-                    }
-                }
-            });
-            changed = changed_flag.load(Ordering::Relaxed) || changed;
-        }
-        // Jump: full path compression.
-        {
-            let snapshot = parent.clone();
-            let base = parent.as_mut_ptr() as usize;
-            let snap = &snapshot;
-            mlcg_par::parallel_for(policy, n, move |u| {
-                let mut r = snap[u] as usize;
-                while snap[r] as usize != r {
-                    r = snap[r] as usize;
-                }
-                // SAFETY: disjoint writes per index.
-                unsafe {
-                    (base as *mut u32).add(u).write(r as u32);
-                }
-            });
-        }
-        if !changed {
-            break;
-        }
-    }
-    // Compact labels.
-    let mut label = vec![u32::MAX; n];
-    let mut next = 0u32;
-    for u in 0..n {
-        let r = parent[u] as usize;
-        if label[r] == u32::MAX {
-            label[r] = next;
-            next += 1;
-        }
-        label[u] = label[r];
-    }
-    (label, next as usize)
-}
-
 /// Component labels (contiguous from 0) and the component count.
 pub fn components(g: &Csr) -> (Vec<u32>, usize) {
     let n = g.n();
@@ -292,45 +212,6 @@ mod tests {
         let (lcc, map) = largest_component(&Csr::empty());
         assert_eq!(lcc.n(), 0);
         assert!(map.is_empty());
-    }
-
-    #[test]
-    fn parallel_components_match_sequential() {
-        use crate::generators as gen;
-        let graphs = vec![
-            from_edges_unit(1, &[]),
-            from_edges_unit(7, &[(0, 1), (2, 3), (3, 4)]),
-            gen::grid2d(15, 15),
-            gen::kmer_paths(20, 30, 5, 3),
-            {
-                let (g, _) = crate::cc::largest_component(&gen::rmat(9, 6, 0.57, 0.19, 0.19, 5));
-                g
-            },
-        ];
-        for g in &graphs {
-            let (seq, k_seq) = components(g);
-            for policy in mlcg_par::ExecPolicy::all_test_policies() {
-                let (par, k_par) = components_par(&policy, g);
-                assert_eq!(k_seq, k_par, "component count");
-                // Same partition up to label permutation.
-                let mut fwd = vec![u32::MAX; k_seq];
-                for (u, (&a, &b)) in seq.iter().zip(&par).enumerate() {
-                    if fwd[a as usize] == u32::MAX {
-                        fwd[a as usize] = b;
-                    }
-                    assert_eq!(fwd[a as usize], b, "vertex {u} split differently");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_components_on_long_chain() {
-        // Pointer jumping must collapse a long path in few rounds.
-        let g = crate::generators::path(5000);
-        let (label, k) = components_par(&mlcg_par::ExecPolicy::host(), &g);
-        assert_eq!(k, 1);
-        assert!(label.iter().all(|&l| l == 0));
     }
 
     #[test]

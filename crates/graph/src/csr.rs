@@ -30,19 +30,13 @@ pub enum Offsets {
 impl Offsets {
     /// Convert a full-width offset array, narrowing to `u32` when every
     /// value fits. This is the only constructor graph code should need;
-    /// [`Offsets::wide`] exists for benchmarking the wide path.
+    /// [`Offsets::widen`] exists for benchmarking the wide path.
     pub fn from_usize(xadj: Vec<usize>) -> Offsets {
         if xadj.iter().all(|&x| x <= u32::MAX as usize) {
             Offsets::U32(xadj.into_iter().map(|x| x as u32).collect())
         } else {
             Offsets::Wide(xadj)
         }
-    }
-
-    /// Keep full-width offsets regardless of range (benchmark baseline —
-    /// production code paths always narrow via [`Offsets::from_usize`]).
-    pub fn wide(xadj: Vec<usize>) -> Offsets {
-        Offsets::Wide(xadj)
     }
 
     /// Force the wide representation in place (no-op if already wide).

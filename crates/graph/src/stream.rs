@@ -2,7 +2,7 @@
 //!
 //! An [`EdgeSource`] yields a graph's edge multiset a bounded chunk at a
 //! time and can be rewound, which is exactly what the two-pass
-//! [`StreamCsrBuilder`](crate::builder::StreamCsrBuilder) protocol needs:
+//! [`StreamCsrBuilder`] protocol needs:
 //! pass 1 streams every chunk through the degree counter, the source is
 //! reset, and pass 2 streams the same chunks through the scatter phase. At
 //! no point does more than one chunk of raw edges live in memory, so the

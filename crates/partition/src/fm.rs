@@ -18,12 +18,12 @@
 //! uncoarsening never rescans interior vertices whose aggregate was
 //! interior one level down.
 
-use crate::parref::{parallel_refine_rounds, ParRefConfig, ParRefWorkspace};
+use crate::parref::{rounds_then_polish, ParRefConfig, ParRefWorkspace};
 use crate::result::{audit_partition, PartitionResult};
 use mlcg_coarsen::{coarsen, CoarsenOptions, Hierarchy};
 use mlcg_graph::metrics::edge_cut;
 use mlcg_graph::{Csr, VId};
-use mlcg_par::{Backend, ExecPolicy, TraceCollector};
+use mlcg_par::{ExecPolicy, TraceCollector};
 use std::collections::BinaryHeap;
 
 /// FM tuning parameters.
@@ -61,17 +61,6 @@ impl FmConfig {
             ..self.clone()
         }
     }
-}
-
-/// One FM refinement on a bisection; mutates `part`, returns the final cut.
-pub fn fm_refine(g: &Csr, part: &mut [u32], cfg: &FmConfig) -> u64 {
-    fm_refine_frac(g, part, cfg, 0.5)
-}
-
-/// FM refinement targeting part 0 holding `frac` of the total vertex
-/// weight (used by recursive k-way partitioning for odd splits).
-pub fn fm_refine_frac(g: &Csr, part: &mut [u32], cfg: &FmConfig, frac: f64) -> u64 {
-    fm_refine_boundary_traced(g, part, cfg, frac, None, &TraceCollector::disabled()).cut
 }
 
 /// Outcome of one boundary-driven refinement.
@@ -130,7 +119,10 @@ impl Balance {
     }
 }
 
-/// Boundary-driven FM refinement — the production refiner.
+/// Boundary-driven FM refinement of a bisection — the production refiner.
+/// Mutates `part` so that part 0 targets `frac` of the total vertex weight
+/// (recursive k-way partitioning uses odd splits), and returns the final
+/// cut and boundary.
 ///
 /// Each pass computes gains and heap-seeds only the *frontier*; interior
 /// vertices enter the heap lazily, when a committed move re-gains them.
@@ -153,7 +145,7 @@ impl Balance {
 /// Each pass records an `fm/pass{N}` span and an `fm/boundary_size` gauge
 /// on `trace`, and prefix rollbacks feed the `fm/moves_rolled_back`
 /// counter.
-pub fn fm_refine_boundary_traced(
+pub fn fm_refine(
     g: &Csr,
     part: &mut [u32],
     cfg: &FmConfig,
@@ -468,7 +460,7 @@ pub(crate) fn seed_covers_boundary(g: &Csr, part: &[u32], seed: &[u32]) -> bool 
 /// heap-seeds all `n` vertices on every pass, costing `O(n + m)` per pass.
 /// Kept as the baseline for the boundary-equivalence property tests and
 /// the `bench_partition` full-scan/boundary comparison; production callers
-/// use [`fm_refine_boundary_traced`].
+/// use [`fm_refine`].
 pub fn fm_refine_frac_full_scan(g: &Csr, part: &mut [u32], cfg: &FmConfig, frac: f64) -> u64 {
     let n = g.n();
     assert_eq!(part.len(), n);
@@ -645,10 +637,9 @@ pub fn fm_bisect_frac(
 /// per-level refinement. Under the serial policy this is the pure
 /// sequential boundary-driven path.
 ///
-/// Delegates to [`fm_uncoarsen_frac_hybrid`] with a [`ParRefConfig`]
-/// derived from `cfg` (same epsilon, default crossover), so coarse levels
-/// whose projected frontier crosses the threshold refine with parallel
-/// rounds before the sequential boundary pass.
+/// Delegates to [`fm_uncoarsen_frac_hybrid`] with the default crossover,
+/// so coarse levels whose projected frontier crosses the threshold refine
+/// with parallel rounds before the sequential boundary pass.
 pub fn fm_uncoarsen_frac_traced(
     policy: &ExecPolicy,
     h: &Hierarchy,
@@ -657,10 +648,7 @@ pub fn fm_uncoarsen_frac_traced(
     seed: u64,
     trace: &TraceCollector,
 ) -> Vec<u32> {
-    let parref = ParRefConfig {
-        epsilon: cfg.epsilon,
-        ..ParRefConfig::default()
-    };
+    let parref = ParRefConfig::default();
     fm_uncoarsen_frac_hybrid(policy, h, cfg, &parref, frac, seed, trace)
 }
 
@@ -673,16 +661,17 @@ pub fn fm_uncoarsen_frac_traced(
 /// vertex can be on the boundary only if its aggregate is), so per-level
 /// refinement cost tracks the boundary, not the graph.
 ///
-/// Crossover: when the policy is parallel and the projected frontier is at
-/// least [`ParRefConfig::crossover_threshold`] (default `HOST_GRAIN` ×
-/// workers — a smaller frontier can't amortize waking the pool, per the
-/// dispatch-latency findings in DESIGN §8), the level first runs
-/// frontier-based parallel rounds ([`parallel_refine_rounds`]) to strip
-/// the bulk positive-gain moves in fused dispatches, then the sequential
-/// boundary pass polishes from the rounds' final frontier. Below the
-/// threshold — always on the finest levels, where the boundary is thin —
-/// the level runs the sequential boundary pass alone, keeping the PR 2
-/// fast path. One [`ParRefWorkspace`] serves every level.
+/// Each finer level is one [`rounds_then_polish`] step at
+/// [`ParRefConfig::crossover_threshold`] (default `HOST_GRAIN` × workers —
+/// a smaller frontier can't amortize waking the pool, per the
+/// dispatch-latency findings in DESIGN §8): when the policy is parallel
+/// and the projected frontier reaches the threshold, frontier-based
+/// parallel rounds strip the bulk positive-gain moves in fused
+/// dispatches, then the sequential boundary pass polishes from the
+/// rounds' final frontier. Below the threshold — always on the finest
+/// levels, where the boundary is thin — the level runs the sequential
+/// boundary pass alone. Only `parref`'s crossover is read; each level's
+/// balance comes from `cfg`. One [`ParRefWorkspace`] serves every level.
 pub fn fm_uncoarsen_frac_hybrid(
     policy: &ExecPolicy,
     h: &Hierarchy,
@@ -696,39 +685,25 @@ pub fn fm_uncoarsen_frac_hybrid(
     let coarse_cfg = cfg.with_vertex_slack();
     let coarsest = h.coarsest();
     let mut part = crate::ggg::greedy_graph_growing_frac(coarsest, seed, frac);
-    let mut outcome =
-        fm_refine_boundary_traced(coarsest, &mut part, &coarse_cfg, frac, None, trace);
-    let threshold = parref.crossover_threshold(policy);
-    let parallel_ok = policy.backend != Backend::Serial;
+    let mut outcome = fm_refine(coarsest, &mut part, &coarse_cfg, frac, None, trace);
+    let crossover = parref.crossover_threshold(policy);
     let mut ws = ParRefWorkspace::new();
     for level in (0..h.num_levels()).rev() {
         part = h.interpolate_level(level, &part);
         let frontier = h.project_frontier_ids(level, &outcome.boundary);
-        let g = h.graph_above(level);
         // Tighten to the caller's balance on the finest level only.
         let level_cfg = if level == 0 { cfg } else { &coarse_cfg };
-        let seed_vec = if parallel_ok && frontier.len() >= threshold {
-            let level_parref = ParRefConfig {
-                epsilon: level_cfg.epsilon,
-                handoff_frontier: threshold,
-                ..parref.clone()
-            };
-            parallel_refine_rounds(
-                policy,
-                g,
-                &mut part,
-                &level_parref,
-                frac,
-                level_cfg.vertex_slack,
-                Some(&frontier),
-                &mut ws,
-                trace,
-            )
-            .frontier
-        } else {
-            frontier
-        };
-        outcome = fm_refine_boundary_traced(g, &mut part, level_cfg, frac, Some(&seed_vec), trace);
+        outcome = rounds_then_polish(
+            policy,
+            h.graph_above(level),
+            &mut part,
+            level_cfg,
+            crossover,
+            frac,
+            Some(&frontier),
+            &mut ws,
+            trace,
+        );
     }
     part
 }
@@ -749,7 +724,8 @@ mod tests {
         // balanced.
         let mut part: Vec<u32> = (0..20).map(|i| i % 2).collect();
         let before = edge_cut(&g, &part);
-        let after = fm_refine(&g, &mut part, &FmConfig::default());
+        let trace = TraceCollector::disabled();
+        let after = fm_refine(&g, &mut part, &FmConfig::default(), 0.5, None, &trace).cut;
         assert!(after <= before);
         assert_eq!(after, edge_cut(&g, &part));
         assert!(after <= 5, "cut {after} after refinement of {before}");
@@ -798,10 +774,14 @@ mod tests {
                 max_passes: 1,
                 ..cfg.clone()
             },
-        );
+            0.5,
+            None,
+            &TraceCollector::disabled(),
+        )
+        .cut;
 
         let mut part = start;
-        let cut = fm_refine(&g, &mut part, &cfg);
+        let cut = fm_refine(&g, &mut part, &cfg, 0.5, None, &TraceCollector::disabled()).cut;
         let (w0, w1) = part_weights(&g, &part);
         assert_eq!((w0, w1), (3, 3), "balance repaired");
         assert!(
@@ -825,6 +805,9 @@ mod tests {
                 epsilon: 0.0,
                 vertex_slack: false,
             },
+            0.5,
+            None,
+            &TraceCollector::disabled(),
         );
         let (w0, w1) = part_weights(&g, &part);
         assert_eq!(
@@ -853,7 +836,8 @@ mod tests {
             }
         }
         let before = edge_cut(&g, &part);
-        let after = fm_refine(&g, &mut part, &FmConfig::default());
+        let trace = TraceCollector::disabled();
+        let after = fm_refine(&g, &mut part, &FmConfig::default(), 0.5, None, &trace).cut;
         assert!(
             after < before / 2,
             "FM should drastically improve random cuts: {before} -> {after}"
@@ -912,7 +896,11 @@ mod tests {
                 epsilon: 0.1,
                 vertex_slack: false,
             },
-        );
+            0.5,
+            None,
+            &TraceCollector::disabled(),
+        )
+        .cut;
         assert_eq!(cut, edge_cut(&g, &part));
         let (w0, w1) = part_weights(&g, &part);
         assert!(w0.max(w1) <= 8, "weights {w0}/{w1} exceed the 10% slack");

@@ -10,7 +10,7 @@
 //! the hybrid driver (`fm_uncoarsen_frac_hybrid`): under a parallel
 //! policy, coarse levels whose projected frontier crosses the crossover
 //! threshold refine with frontier-based parallel rounds
-//! (`parallel_refine_rounds`) before the sequential boundary FM polish —
+//! (`rounds_then_polish`) before the sequential boundary FM polish —
 //! so recursive k-way inherits the parallel coarse-level engine on the
 //! top-level (largest) subproblems, where it pays, and stays on the
 //! sequential fast path for the small deep-recursion pieces.
@@ -162,7 +162,7 @@ pub fn kway_partition_cfg(
 /// Labels must lie in `0..k` (asserted). Empty parts are tolerated — they
 /// are legitimate when `n < k` — and simply never contribute to the max;
 /// callers that require every label populated can check
-/// [`kway_empty_parts`] or use [`kway_imbalance_checked`].
+/// [`kway_empty_parts`].
 pub fn kway_imbalance(g: &Csr, part: &[u32], k: usize) -> f64 {
     let mut w = vec![0u64; k];
     for (u, &p) in part.iter().enumerate() {
@@ -190,21 +190,6 @@ pub fn kway_empty_parts(part: &[u32], k: usize) -> usize {
         seen[p as usize] = true;
     }
     seen.iter().filter(|&&s| !s).count()
-}
-
-/// [`kway_imbalance`] plus a debug assertion that no part is empty.
-///
-/// Use from tests and debug builds on graphs with `n >= k`, where an empty
-/// part always indicates label dropout rather than a legitimately
-/// unpopulated label.
-pub fn kway_imbalance_checked(g: &Csr, part: &[u32], k: usize) -> f64 {
-    debug_assert_eq!(
-        kway_empty_parts(part, k),
-        0,
-        "k-way label dropout: empty parts with n={} k={k}",
-        g.n()
-    );
-    kway_imbalance(g, part, k)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -437,16 +422,6 @@ mod tests {
         // empty and kway_imbalance must tolerate them.
         assert_eq!(kway_empty_parts(&r.part, 5), 2, "labels {:?}", r.part);
         assert!(r.imbalance.is_finite() && r.imbalance >= 1.0);
-    }
-
-    #[test]
-    fn checked_imbalance_matches_on_full_partitions() {
-        let g = gen::grid2d(8, 8);
-        let r = run(&g, 4);
-        assert_eq!(
-            kway_imbalance_checked(&g, &r.part, 4),
-            kway_imbalance(&g, &r.part, 4)
-        );
     }
 
     /// The three `direct_kway_split` fallback triggers — (a) a

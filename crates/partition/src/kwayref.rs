@@ -69,13 +69,14 @@ use std::cell::RefCell;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
+/// Maximum parity-alternating parallel rounds.
+const MAX_ROUNDS: usize = 12;
+/// Maximum passes of the sequential boundary refiner.
+const MAX_PASSES: usize = 8;
+
 /// Direct k-way refinement tuning.
 #[derive(Clone, Debug)]
 pub struct KwayRefineConfig {
-    /// Maximum parity-alternating parallel rounds.
-    pub max_rounds: usize,
-    /// Maximum passes of the sequential boundary refiner.
-    pub max_passes: usize,
     /// Allowed imbalance of any part versus `total/k`.
     pub epsilon: f64,
     /// Grant every part one max-vertex of extra strict slack (the k-way
@@ -92,9 +93,6 @@ pub struct KwayRefineConfig {
     /// *repairs* entry overages, trading cut for balance under the
     /// lexicographic `(excess, cut)` key.
     pub entry_slack: bool,
-    /// Polish with the sequential k-way boundary FM after the parallel
-    /// rounds, seeded by the rounds' final frontier.
-    pub sequential_polish: bool,
     /// Vertex count at which [`kway_direct_refine`] engages parallel
     /// rounds under a parallel policy. `None` derives
     /// `HOST_GRAIN × workers`, matching
@@ -109,12 +107,9 @@ pub struct KwayRefineConfig {
 impl Default for KwayRefineConfig {
     fn default() -> Self {
         KwayRefineConfig {
-            max_rounds: 12,
-            max_passes: 8,
             epsilon: 0.02,
             vertex_slack: false,
             entry_slack: true,
-            sequential_polish: true,
             crossover_frontier: None,
             handoff_frontier: 0,
         }
@@ -221,7 +216,7 @@ thread_local! {
 /// k-way counterpart of [`crate::parref::ParRefWorkspace`], with the
 /// mover stamp widened to a `(from, to)` label pair.
 #[derive(Default)]
-pub struct KwayRefWorkspace {
+struct KwayRefWorkspace {
     /// `moved_stamp[u] == round_epoch` marks `u` as a mover this round;
     /// written only by the sequential selection phase, read by the
     /// parallel apply dispatch.
@@ -249,11 +244,6 @@ pub struct KwayRefWorkspace {
 }
 
 impl KwayRefWorkspace {
-    /// An empty workspace; arrays grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     fn ensure(&mut self, n: usize) {
         if self.moved_stamp.len() < n {
             self.moved_stamp.resize(n, 0);
@@ -282,19 +272,6 @@ impl KwayRefWorkspace {
     }
 }
 
-/// Outcome of the k-way parallel rounds at a fixed level.
-#[derive(Clone, Debug)]
-pub struct KwayRoundsOutcome {
-    /// Final weighted edge cut (incrementally tracked; equals
-    /// `edge_cut(g, part)`).
-    pub cut: u64,
-    /// Rounds that ran a gain dispatch (the `kwayref/rounds` counter).
-    pub rounds: usize,
-    /// Final frontier: a superset of the k-way boundary, valid as a
-    /// `seed_frontier` for [`kway_refine_boundary_traced`].
-    pub frontier: Vec<u32>,
-}
-
 /// Frontier-based parallel k-way refinement rounds — the engine behind
 /// [`kway_direct_refine`].
 ///
@@ -308,8 +285,12 @@ pub struct KwayRoundsOutcome {
 /// reverse — if it would end lexicographically worse in `(excess, cut)`
 /// than the entry partition, and no move ever empties a part, so entry
 /// feasibility and label coverage are preserved.
+///
+/// Returns the final cut (tracked incrementally; equals
+/// `edge_cut(g, part)`) and the final frontier, a superset of the k-way
+/// boundary that can seed [`kway_refine_boundary_traced`].
 #[allow(clippy::too_many_arguments)]
-pub fn kway_parallel_refine_rounds(
+fn kway_parallel_refine_rounds(
     policy: &ExecPolicy,
     g: &Csr,
     part: &mut [u32],
@@ -318,16 +299,12 @@ pub fn kway_parallel_refine_rounds(
     seed_frontier: Option<&[u32]>,
     ws: &mut KwayRefWorkspace,
     trace: &TraceCollector,
-) -> KwayRoundsOutcome {
+) -> (u64, Vec<u32>) {
     let n = g.n();
     assert_eq!(part.len(), n);
     assert!(k >= 1, "k must be positive");
     if n == 0 || k < 2 {
-        return KwayRoundsOutcome {
-            cut: 0,
-            rounds: 0,
-            frontier: Vec::new(),
-        };
+        return (0, Vec::new());
     }
     let _kernel = profile::kernel("kwayref");
 
@@ -391,9 +368,8 @@ pub fn kway_parallel_refine_rounds(
     debug_assert_eq!(cut, edge_cut(g, part));
     let entry_key = (bal.excess(&wpart), cut);
 
-    let mut rounds = 0usize;
     let mut empty_streak = 0usize;
-    for round in 0..cfg.max_rounds {
+    for round in 0..MAX_ROUNDS {
         let flen = ws.frontier.len();
         if flen == 0 {
             break;
@@ -403,7 +379,6 @@ pub fn kway_parallel_refine_rounds(
         }
         trace.gauge_usize(|| "kwayref/frontier_size".to_string(), flen);
         trace.counter_add("kwayref/rounds", 1);
-        rounds += 1;
         let epoch = ws.bump_round();
         if ws.code.len() < flen {
             ws.code.resize_with(flen, AtomicU8::default);
@@ -622,11 +597,7 @@ pub fn kway_parallel_refine_rounds(
         }
     }
     debug_assert_eq!(cut, edge_cut(g, part), "final k-way cut drifted");
-    KwayRoundsOutcome {
-        cut,
-        rounds,
-        frontier: ws.frontier.clone(),
-    }
+    (cut, ws.frontier.clone())
 }
 
 /// Build the next frontier in `O(frontier + moved · deg)`: boundary
@@ -848,15 +819,6 @@ impl SeqState {
     }
 }
 
-/// Outcome of one sequential k-way boundary refinement.
-#[derive(Clone, Debug)]
-pub struct KwayRefineOutcome {
-    /// Final weighted edge cut.
-    pub cut: u64,
-    /// Final boundary: every vertex with at least one cut edge.
-    pub boundary: Vec<u32>,
-}
-
 /// Boundary-driven sequential k-way FM — the polish half of
 /// [`kway_direct_refine`], and the whole refiner below the crossover.
 ///
@@ -872,23 +834,21 @@ pub struct KwayRefineOutcome {
 /// connectivity-free least-loaded targets, so balance repair works from
 /// any start; a per-part vertex count guard never empties a part. Each
 /// pass records a `kwayref/pass{N}` span and a `kwayref/boundary_size`
-/// gauge; rollbacks feed `kwayref/moves_rolled_back`.
-pub fn kway_refine_boundary_traced(
+/// gauge; rollbacks feed `kwayref/moves_rolled_back`. Returns the final
+/// cut.
+fn kway_refine_boundary_traced(
     g: &Csr,
     part: &mut [u32],
     k: usize,
     cfg: &KwayRefineConfig,
     seed_frontier: Option<&[u32]>,
     trace: &TraceCollector,
-) -> KwayRefineOutcome {
+) -> u64 {
     let n = g.n();
     assert_eq!(part.len(), n);
     assert!(k >= 1, "k must be positive");
     if n == 0 || k < 2 {
-        return KwayRefineOutcome {
-            cut: 0,
-            boundary: Vec::new(),
-        };
+        return 0;
     }
     let mut wpart = vec![0u64; k];
     let mut counts = vec![0usize; k];
@@ -943,7 +903,7 @@ pub fn kway_refine_boundary_traced(
     let mut cut = (ext_total / 2) as i64;
     debug_assert_eq!(cut, edge_cut(g, part) as i64);
 
-    for pass in 0..cfg.max_passes {
+    for pass in 0..MAX_PASSES {
         let span = trace.span(|| format!("kwayref/pass{pass}"));
         epoch += 1;
         let mut next: Vec<u32> = Vec::new();
@@ -1105,18 +1065,7 @@ pub fn kway_refine_boundary_traced(
             break;
         }
     }
-    let boundary: Vec<u32> = frontier
-        .iter()
-        .copied()
-        .filter(|&u| {
-            g.edges(u)
-                .any(|(v, _)| part[u as usize] != part[v as usize])
-        })
-        .collect();
-    KwayRefineOutcome {
-        cut: cut as u64,
-        boundary,
-    }
+    cut as u64
 }
 
 /// Refine a finished k-way labeling in place; returns the final cut.
@@ -1124,9 +1073,8 @@ pub fn kway_refine_boundary_traced(
 /// Under a parallel policy on a graph at or above
 /// [`KwayRefineConfig::crossover_threshold`], the frontier-based
 /// parallel rounds run first (handing off once the frontier shrinks
-/// below the threshold), then — when
-/// [`KwayRefineConfig::sequential_polish`] is set — the sequential
-/// k-way boundary FM polishes from the rounds' final frontier. Below
+/// below the threshold), then the sequential k-way boundary FM polishes
+/// from the rounds' final frontier. Below
 /// the crossover the sequential refiner runs alone, keeping small and
 /// deep-recursion inputs on the dispatch-free fast path.
 pub fn kway_direct_refine(
@@ -1149,16 +1097,12 @@ pub fn kway_direct_refine(
         if rounds_cfg.handoff_frontier == 0 {
             rounds_cfg.handoff_frontier = threshold;
         }
-        let mut ws = KwayRefWorkspace::new();
-        let out =
+        let mut ws = KwayRefWorkspace::default();
+        let (_, frontier) =
             kway_parallel_refine_rounds(policy, g, part, k, &rounds_cfg, None, &mut ws, trace);
-        if cfg.sequential_polish {
-            kway_refine_boundary_traced(g, part, k, cfg, Some(&out.frontier), trace).cut
-        } else {
-            out.cut
-        }
+        kway_refine_boundary_traced(g, part, k, cfg, Some(&frontier), trace)
     } else {
-        kway_refine_boundary_traced(g, part, k, cfg, None, trace).cut
+        kway_refine_boundary_traced(g, part, k, cfg, None, trace)
     }
 }
 
@@ -1199,8 +1143,8 @@ mod tests {
             let cfg = KwayRefineConfig::default();
             for policy in ExecPolicy::all_test_policies() {
                 let mut p = part0.clone();
-                let mut ws = KwayRefWorkspace::new();
-                let out = kway_parallel_refine_rounds(
+                let mut ws = KwayRefWorkspace::default();
+                let (cut, _) = kway_parallel_refine_rounds(
                     &policy,
                     &g,
                     &mut p,
@@ -1210,11 +1154,11 @@ mod tests {
                     &mut ws,
                     &TraceCollector::disabled(),
                 );
-                assert_eq!(out.cut, edge_cut(&g, &p), "{policy}: k={k} cut drifted");
+                assert_eq!(cut, edge_cut(&g, &p), "{policy}: k={k} cut drifted");
                 assert!(
-                    out.cut <= before,
+                    cut <= before,
                     "{policy}: k={k} worsened {before} -> {}",
-                    out.cut
+                    cut
                 );
                 // Feasible entry (unit weights, counts balanced) must
                 // leave the strict envelope intact.
@@ -1240,7 +1184,7 @@ mod tests {
             let mut results: Vec<Vec<u32>> = Vec::new();
             for policy in ExecPolicy::all_test_policies() {
                 let mut p = part0.clone();
-                let mut ws = KwayRefWorkspace::new();
+                let mut ws = KwayRefWorkspace::default();
                 kway_parallel_refine_rounds(
                     &policy,
                     &g,
@@ -1272,7 +1216,7 @@ mod tests {
             let mut part = balanced_kpart(g.n(), k, 3);
             let before = edge_cut(&g, &part);
             let cfg = KwayRefineConfig::default();
-            let out = kway_refine_boundary_traced(
+            let cut = kway_refine_boundary_traced(
                 &g,
                 &mut part,
                 k,
@@ -1280,8 +1224,8 @@ mod tests {
                 None,
                 &TraceCollector::disabled(),
             );
-            assert_eq!(out.cut, edge_cut(&g, &part), "k={k} cut drifted");
-            assert!(out.cut < before, "k={k}: no improvement {before}");
+            assert_eq!(cut, edge_cut(&g, &part), "k={k} cut drifted");
+            assert!(cut < before, "k={k}: no improvement {before}");
             let bound = strict_bound(&g, k, cfg.epsilon);
             let mut w = vec![0u64; k];
             for (u, &pp) in part.iter().enumerate() {
@@ -1363,8 +1307,8 @@ mod tests {
             let entry = (bal.excess(&w0), edge_cut(&g, &part0));
             for policy in ExecPolicy::all_test_policies() {
                 let mut p = part0.clone();
-                let mut ws = KwayRefWorkspace::new();
-                let out = kway_parallel_refine_rounds(
+                let mut ws = KwayRefWorkspace::default();
+                let (cut, _) = kway_parallel_refine_rounds(
                     &policy,
                     &g,
                     &mut p,
@@ -1374,13 +1318,13 @@ mod tests {
                     &mut ws,
                     &TraceCollector::disabled(),
                 );
-                assert_eq!(out.cut, edge_cut(&g, &p), "seed {seed} {policy}: drifted");
+                assert_eq!(cut, edge_cut(&g, &p), "seed {seed} {policy}: drifted");
                 let mut w = vec![0u64; k];
                 for (u, &pp) in p.iter().enumerate() {
                     w[pp as usize] += g.vwgt()[u];
                 }
                 assert!(
-                    (bal.excess(&w), out.cut) <= entry,
+                    (bal.excess(&w), cut) <= entry,
                     "seed {seed} {policy}: ended worse than entry"
                 );
             }

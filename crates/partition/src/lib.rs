@@ -21,21 +21,16 @@ pub mod result;
 pub mod spectral;
 
 pub use fm::{
-    fm_bisect, fm_bisect_frac, fm_refine_boundary_traced, fm_refine_frac_full_scan,
-    fm_uncoarsen_frac_full_scan, fm_uncoarsen_frac_hybrid, FmConfig, FmRefineOutcome,
+    fm_bisect, fm_bisect_frac, fm_refine, fm_refine_frac_full_scan, fm_uncoarsen_frac_full_scan,
+    fm_uncoarsen_frac_hybrid, FmConfig, FmRefineOutcome,
 };
 pub use kway::{
-    kway_empty_parts, kway_imbalance, kway_imbalance_checked, kway_partition, kway_partition_cfg,
-    KwayConfig, KwayResult,
+    kway_empty_parts, kway_imbalance, kway_partition, kway_partition_cfg, KwayConfig, KwayResult,
 };
-pub use kwayref::{
-    kway_direct_refine, kway_parallel_refine_rounds, kway_refine_boundary_traced, KwayRefWorkspace,
-    KwayRefineConfig, KwayRefineOutcome, KwayRoundsOutcome,
-};
+pub use kwayref::{kway_direct_refine, KwayRefineConfig};
 pub use metislike::{metis_like, mtmetis_like};
 pub use parref::{
-    parallel_refine, parallel_refine_rounds, parfm_bisect, rounds_then_polish, ParRefConfig,
-    ParRefOutcome, ParRefWorkspace,
+    parallel_refine_rounds, rounds_then_polish, ParRefConfig, ParRefOutcome, ParRefWorkspace,
 };
 pub use result::audit_partition;
 pub use result::PartitionResult;

@@ -46,14 +46,11 @@
 //! reduction on a dense graph cannot). The whole refinement rolls back to
 //! its entry state — replaying the move log — if it would end
 //! lexicographically worse in `(excess, cut)` than the entry partition.
-//! An optional sequential FM polish (seeded with the final frontier)
-//! removes the last few percent, mirroring how production partitioners
-//! combine the two.
+//! [`rounds_then_polish`] follows the rounds with a sequential FM polish
+//! seeded by the final frontier, which removes the last few percent,
+//! mirroring how production partitioners combine the two.
 
-use crate::fm::{fm_refine_boundary_traced, seed_covers_boundary, Balance, FmConfig};
-use crate::ggg::greedy_graph_growing;
-use crate::result::PartitionResult;
-use mlcg_coarsen::{coarsen, CoarsenOptions, Hierarchy};
+use crate::fm::{fm_refine, seed_covers_boundary, Balance, FmConfig, FmRefineOutcome};
 use mlcg_graph::metrics::edge_cut;
 use mlcg_graph::{Csr, VId};
 use mlcg_par::atomic::as_atomic_u32;
@@ -61,22 +58,14 @@ use mlcg_par::exec::HOST_GRAIN;
 use mlcg_par::{parallel_for, profile, Backend, ExecPolicy, TraceCollector};
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 
+/// Maximum alternating-direction rounds per refinement.
+const MAX_ROUNDS: usize = 12;
+
 /// Parallel refinement tuning.
 #[derive(Clone, Debug)]
 pub struct ParRefConfig {
-    /// Maximum alternating-direction rounds per level.
-    pub max_rounds: usize,
     /// Allowed imbalance of the heavier side vs `total/2`.
     pub epsilon: f64,
-    /// Run a short sequential FM polish per level after the parallel
-    /// rounds, seeded with the rounds' final frontier.
-    pub sequential_polish: bool,
-    /// Imbalance allowed on coarse levels by [`parfm_bisect`]'s
-    /// uncoarsening driver: every level except the finest refines with
-    /// `epsilon.max(coarse_epsilon)` so heavy aggregates don't wedge the
-    /// balance constraint. The default (0.1) preserves the historical
-    /// hardcoded relaxation.
-    pub coarse_epsilon: f64,
     /// Frontier size above which the hybrid multilevel driver runs
     /// parallel rounds before the sequential boundary pass. `None`
     /// derives the threshold from the dispatch economics:
@@ -84,23 +73,19 @@ pub struct ParRefConfig {
     /// the pool — see the PR 4 wakeup findings in DESIGN §8).
     pub crossover_frontier: Option<usize>,
     /// Stop the round loop once the rebuilt frontier drops below this
-    /// size and hand the residue to the sequential polish. The hybrid
-    /// multilevel driver sets this to its crossover threshold so the
-    /// crossover holds *per round*, not just at level entry — once the
-    /// frontier has shrunk past the point where a dispatch pays for
-    /// itself, further rounds only delay the polish. `0` (the default)
-    /// never hands off: the flat [`parallel_refine`] API runs rounds to
-    /// convergence.
+    /// size and hand the residue to the sequential polish.
+    /// [`rounds_then_polish`] sets this to its crossover threshold so the
+    /// crossover holds *per round*, not just at entry — once the frontier
+    /// has shrunk past the point where a dispatch pays for itself, further
+    /// rounds only delay the polish. `0` (the default) never hands off:
+    /// the rounds run to convergence.
     pub handoff_frontier: usize,
 }
 
 impl Default for ParRefConfig {
     fn default() -> Self {
         ParRefConfig {
-            max_rounds: 12,
             epsilon: 0.02,
-            sequential_polish: true,
-            coarse_epsilon: 0.1,
             crossover_frontier: None,
             handoff_frontier: 0,
         }
@@ -183,17 +168,13 @@ pub struct ParRefOutcome {
     /// Final weighted edge cut (incrementally tracked; equals
     /// `edge_cut(g, part)`).
     pub cut: u64,
-    /// Rounds that ran a gain dispatch (the `parref/rounds` counter).
-    pub rounds: usize,
     /// Final frontier: a superset of the boundary, valid as a
-    /// `seed_frontier` for [`fm_refine_boundary_traced`] or for
-    /// projection one level down.
+    /// `seed_frontier` for [`fm_refine`] or for projection one level down.
     pub frontier: Vec<u32>,
 }
 
 /// Frontier-based parallel refinement rounds at a fixed level — the
-/// engine behind [`parallel_refine`] and the hybrid multilevel driver
-/// ([`crate::fm::fm_uncoarsen_frac_hybrid`]).
+/// engine behind [`rounds_then_polish`].
 ///
 /// `seed_frontier`, when given, must cover every vertex with a cut edge
 /// (a superset is fine); `None` seeds all of `0..n`. `vertex_slack`
@@ -219,7 +200,6 @@ pub fn parallel_refine_rounds(
     if n == 0 {
         return ParRefOutcome {
             cut: 0,
-            rounds: 0,
             frontier: Vec::new(),
         };
     }
@@ -280,9 +260,8 @@ pub fn parallel_refine_rounds(
     debug_assert_eq!(cut, edge_cut(g, part));
     let entry_key = (bal.excess(&wpart), cut);
 
-    let mut rounds = 0usize;
     let mut empty_streak = 0usize;
-    for round in 0..cfg.max_rounds {
+    for round in 0..MAX_ROUNDS {
         let flen = ws.frontier.len();
         if flen == 0 {
             break;
@@ -296,7 +275,6 @@ pub fn parallel_refine_rounds(
         let to = 1 - from;
         trace.gauge_usize(|| "parref/frontier_size".to_string(), flen);
         trace.counter_add("parref/rounds", 1);
-        rounds += 1;
         let epoch = ws.bump_round();
         if ws.code.len() < flen {
             ws.code.resize_with(flen, AtomicU8::default);
@@ -440,14 +418,14 @@ pub fn parallel_refine_rounds(
     // Balance repair: rounds may leave up to one max-vertex of overshoot
     // past the strict envelope (the budget's trade slack). Move best-gain
     // vertices off the over-limit side until the excess is back down to
-    // its entry value — 0 for a feasible entry, so the flat no-polish
-    // contract ends inside the envelope. Pre-existing infeasibility (an
-    // interpolated partition can exceed the finer level's strict limits,
-    // whose vertex slack shrinks with the finer max_vwgt) is deliberately
-    // NOT repaired here: greedy excess-reduction on a dense graph moves
-    // vertices at ruinous gains, while the sequential FM pass that
-    // follows in every multilevel driver repairs balance through its
-    // best-prefix selection, jointly optimizing the cut.
+    // its entry value — 0 for a feasible entry, so the rounds alone end
+    // inside the envelope. Pre-existing infeasibility (an interpolated
+    // partition can exceed the finer level's strict limits, whose vertex
+    // slack shrinks with the finer max_vwgt) is deliberately NOT repaired
+    // here: greedy excess-reduction on a dense graph moves vertices at
+    // ruinous gains, while the sequential FM polish that follows in
+    // `rounds_then_polish` repairs balance through its best-prefix
+    // selection, jointly optimizing the cut.
     if bal.excess(&wpart) > entry_key.0 {
         repair_balance(g, part, &mut wpart, &bal, entry_key.0, &mut cut, ws);
     }
@@ -486,7 +464,6 @@ pub fn parallel_refine_rounds(
     debug_assert_eq!(cut, edge_cut(g, part), "final cut drifted");
     ParRefOutcome {
         cut,
-        rounds,
         frontier: ws.frontier.clone(),
     }
 }
@@ -610,212 +587,50 @@ fn repair_balance(
     }
 }
 
-/// One parallel refinement at a fixed level; returns the final cut.
+/// One bisection refinement through the crossover. On a parallel policy
+/// whose entry frontier (`seed_frontier`, or all `n` vertices when `None`)
+/// holds at least `crossover` vertices, the frontier rounds strip the bulk
+/// positive gains first, handing off once the frontier shrinks below
+/// `crossover`; the sequential boundary FM then polishes from the rounds'
+/// final frontier. Below the crossover the sequential FM runs alone from
+/// `seed_frontier`.
 ///
-/// Runs the frontier-based rounds over the whole vertex set (no seed),
-/// repairs the balance envelope, and — when
-/// [`ParRefConfig::sequential_polish`] is set — finishes with a short
-/// sequential FM pass seeded by the rounds' final frontier.
-pub fn parallel_refine(policy: &ExecPolicy, g: &Csr, part: &mut [u32], cfg: &ParRefConfig) -> u64 {
-    let mut ws = ParRefWorkspace::new();
-    parallel_refine_in(
-        policy,
-        g,
-        part,
-        cfg,
-        0.5,
-        false,
-        None,
-        &mut ws,
-        &TraceCollector::disabled(),
-    )
-}
-
-/// [`parallel_refine`] with an explicit workspace, balance target, seed
-/// frontier, and trace sink — the per-level step of [`parfm_bisect`].
+/// This is the per-level step of the hybrid uncoarsening
+/// ([`crate::fm::fm_uncoarsen_frac_hybrid`]) and the spectral FM polish.
+/// The crossover is normally [`ParRefConfig::crossover_threshold`].
 #[allow(clippy::too_many_arguments)]
-pub fn parallel_refine_in(
-    policy: &ExecPolicy,
-    g: &Csr,
-    part: &mut [u32],
-    cfg: &ParRefConfig,
-    frac: f64,
-    vertex_slack: bool,
-    seed_frontier: Option<&[u32]>,
-    ws: &mut ParRefWorkspace,
-    trace: &TraceCollector,
-) -> u64 {
-    let out = parallel_refine_rounds(
-        policy,
-        g,
-        part,
-        cfg,
-        frac,
-        vertex_slack,
-        seed_frontier,
-        ws,
-        trace,
-    );
-    if cfg.sequential_polish {
-        let fm = FmConfig {
-            max_passes: 2,
-            epsilon: cfg.epsilon,
-            vertex_slack,
-        };
-        fm_refine_boundary_traced(g, part, &fm, frac, Some(&out.frontier), trace).cut
-    } else {
-        out.cut
-    }
-}
-
-/// One flat bisection refinement through the crossover: on a parallel
-/// policy with a graph at or above [`ParRefConfig::crossover_threshold`],
-/// strip the bulk positive gains with the frontier rounds (handing off
-/// once the frontier shrinks below the threshold), then polish with the
-/// sequential boundary FM seeded by the rounds' final frontier; below
-/// the crossover, the sequential FM runs alone. Returns the final cut.
-///
-/// Shared by the spectral polish and (in k-way form, see
-/// [`crate::kwayref::kway_direct_refine`]) the direct k-way refiner.
 pub fn rounds_then_polish(
     policy: &ExecPolicy,
     g: &Csr,
     part: &mut [u32],
     fm_cfg: &FmConfig,
+    crossover: usize,
     frac: f64,
-    trace: &TraceCollector,
-) -> u64 {
-    let _mem = trace.heap_scope(|| "parref/polish".to_string());
-    let mut parref = ParRefConfig {
-        epsilon: fm_cfg.epsilon,
-        ..ParRefConfig::default()
-    };
-    let threshold = parref.crossover_threshold(policy);
-    parref.handoff_frontier = threshold;
-    if policy.backend != Backend::Serial && g.n() >= threshold {
-        let mut ws = ParRefWorkspace::new();
-        let rounds = parallel_refine_rounds(
-            policy,
-            g,
-            part,
-            &parref,
-            frac,
-            fm_cfg.vertex_slack,
-            None,
-            &mut ws,
-            trace,
-        );
-        fm_refine_boundary_traced(g, part, fm_cfg, frac, Some(&rounds.frontier), trace).cut
-    } else {
-        fm_refine_boundary_traced(g, part, fm_cfg, frac, None, trace).cut
-    }
-}
-
-/// Multilevel bisection where *both* coarsening and refinement run under
-/// the parallel policy (sequential work only in the optional polish and
-/// the rare balance repair).
-pub fn parfm_bisect(
-    policy: &ExecPolicy,
-    g: &Csr,
-    coarsen_opts: &CoarsenOptions,
-    cfg: &ParRefConfig,
-    seed: u64,
-) -> PartitionResult {
-    let trace = coarsen_opts.trace.clone();
-    let span = trace.timed_span(|| "partition/parref/coarsen".to_string());
-    let h = coarsen(policy, g, coarsen_opts);
-    let coarsen_seconds = span.finish();
-    let span = trace.timed_span(|| "partition/parref/refine".to_string());
-    let part = parref_uncoarsen(policy, &h, cfg, seed, &trace);
-    let refine_seconds = span.finish();
-    PartitionResult::new(g, part, coarsen_seconds, refine_seconds, h.num_levels())
-        .with_trace(trace.report())
-}
-
-/// The uncoarsening half: initial partition on the coarsest graph, then
-/// project + parallel-refine level by level. One workspace serves every
-/// level, and each level's frontier is seeded by projecting the coarser
-/// level's final boundary (polish on) or frontier (polish off).
-fn parref_uncoarsen(
-    policy: &ExecPolicy,
-    h: &Hierarchy,
-    cfg: &ParRefConfig,
-    seed: u64,
-    trace: &TraceCollector,
-) -> Vec<u32> {
-    let coarsest = h.coarsest();
-    let mut part = greedy_graph_growing(coarsest, seed);
-    let coarse_cfg = ParRefConfig {
-        epsilon: cfg.epsilon.max(cfg.coarse_epsilon),
-        ..cfg.clone()
-    };
-    let mut ws = ParRefWorkspace::new();
-    let mut boundary = refine_level(
-        policy,
-        coarsest,
-        &mut part,
-        &coarse_cfg,
-        true,
-        None,
-        &mut ws,
-        trace,
-    );
-    for level in (0..h.num_levels()).rev() {
-        part = h.interpolate_level(level, &part);
-        let frontier = h.project_frontier_ids(level, &boundary);
-        let (level_cfg, slack) = if level == 0 {
-            (cfg, false)
-        } else {
-            (&coarse_cfg, true)
-        };
-        boundary = refine_level(
-            policy,
-            h.graph_above(level),
-            &mut part,
-            level_cfg,
-            slack,
-            Some(&frontier),
-            &mut ws,
-            trace,
-        );
-    }
-    part
-}
-
-/// One uncoarsening step: parallel rounds, optional seeded polish;
-/// returns a boundary-covering vertex set to project to the next level.
-#[allow(clippy::too_many_arguments)]
-fn refine_level(
-    policy: &ExecPolicy,
-    g: &Csr,
-    part: &mut [u32],
-    cfg: &ParRefConfig,
-    vertex_slack: bool,
     seed_frontier: Option<&[u32]>,
     ws: &mut ParRefWorkspace,
     trace: &TraceCollector,
-) -> Vec<u32> {
-    let out = parallel_refine_rounds(
+) -> FmRefineOutcome {
+    let entry = seed_frontier.map_or(g.n(), <[u32]>::len);
+    if policy.backend == Backend::Serial || entry < crossover {
+        return fm_refine(g, part, fm_cfg, frac, seed_frontier, trace);
+    }
+    let cfg = ParRefConfig {
+        epsilon: fm_cfg.epsilon,
+        handoff_frontier: crossover,
+        ..ParRefConfig::default()
+    };
+    let rounds = parallel_refine_rounds(
         policy,
         g,
         part,
-        cfg,
-        0.5,
-        vertex_slack,
+        &cfg,
+        frac,
+        fm_cfg.vertex_slack,
         seed_frontier,
         ws,
         trace,
     );
-    if cfg.sequential_polish {
-        let fm = FmConfig {
-            max_passes: 2,
-            epsilon: cfg.epsilon,
-            vertex_slack,
-        };
-        fm_refine_boundary_traced(g, part, &fm, 0.5, Some(&out.frontier), trace).boundary
-    } else {
-        out.frontier
-    }
+    fm_refine(g, part, fm_cfg, frac, Some(&rounds.frontier), trace)
 }
 
 #[cfg(test)]
@@ -824,6 +639,13 @@ mod tests {
     use mlcg_graph::generators as gen;
     use mlcg_graph::metrics::part_weights;
     use mlcg_par::rng::Xoshiro256pp;
+
+    /// Flat rounds over every vertex at a 50/50 split, no vertex slack.
+    fn rounds(policy: &ExecPolicy, g: &Csr, part: &mut [u32], cfg: &ParRefConfig) -> ParRefOutcome {
+        let trace = TraceCollector::disabled();
+        let mut ws = ParRefWorkspace::new();
+        parallel_refine_rounds(policy, g, part, cfg, 0.5, false, None, &mut ws, &trace)
+    }
 
     #[test]
     fn never_worsens_the_cut() {
@@ -844,11 +666,7 @@ mod tests {
                 }
             }
             let before = edge_cut(&g, &part);
-            let cfg = ParRefConfig {
-                sequential_polish: false,
-                ..Default::default()
-            };
-            let after = parallel_refine(&policy, &g, &mut part, &cfg);
+            let after = rounds(&policy, &g, &mut part, &ParRefConfig::default()).cut;
             assert!(after <= before, "{policy}: {before} -> {after}");
             assert_eq!(after, edge_cut(&g, &part));
         }
@@ -860,10 +678,16 @@ mod tests {
         let mut part: Vec<u32> = (0..16).map(|i| u32::from(i >= 8)).collect();
         let cfg = ParRefConfig {
             epsilon: 0.0,
-            sequential_polish: true,
             ..Default::default()
         };
-        parallel_refine(&ExecPolicy::host(), &g, &mut part, &cfg);
+        let out = rounds(&ExecPolicy::host(), &g, &mut part, &cfg);
+        let polish = FmConfig {
+            max_passes: 2,
+            epsilon: 0.0,
+            vertex_slack: false,
+        };
+        let trace = TraceCollector::disabled();
+        fm_refine(&g, &mut part, &polish, 0.5, Some(&out.frontier), &trace);
         let (w0, w1) = part_weights(&g, &part);
         assert_eq!(w0.max(w1), 8, "eps 0 requires exact balance on even totals");
     }
@@ -872,20 +696,19 @@ mod tests {
     fn no_polish_still_repairs_to_the_envelope() {
         // Regression: the pre-rewrite refiner's budget granted one
         // max-vertex of slack past the limit and never repaired it, so
-        // `sequential_polish: false` could return a partition exceeding
-        // the epsilon envelope by up to max_vwgt. The repair phase must
-        // restore the strict envelope — here eps 0 on an even total, so
-        // exact balance — without worsening the cut.
+        // the rounds alone could return a partition exceeding the epsilon
+        // envelope by up to max_vwgt. The repair phase must restore the
+        // strict envelope — here eps 0 on an even total, so exact
+        // balance — without worsening the cut.
         let g = gen::complete(16);
         for policy in ExecPolicy::all_test_policies() {
             let mut part: Vec<u32> = (0..16).map(|i| u32::from(i >= 8)).collect();
             let before = edge_cut(&g, &part);
             let cfg = ParRefConfig {
                 epsilon: 0.0,
-                sequential_polish: false,
                 ..Default::default()
             };
-            let after = parallel_refine(&policy, &g, &mut part, &cfg);
+            let after = rounds(&policy, &g, &mut part, &cfg).cut;
             let (w0, w1) = part_weights(&g, &part);
             assert_eq!(
                 w0.max(w1),
@@ -922,70 +745,10 @@ mod tests {
     }
 
     #[test]
-    fn coarse_epsilon_is_configurable() {
-        // The uncoarsening driver must honor ParRefConfig::coarse_epsilon
-        // instead of the old hardcoded 0.1 relaxation; a tight
-        // coarse_epsilon ends within the finest-level envelope either way,
-        // and both settings must produce a valid bisection.
-        let g = gen::grid2d(24, 24);
-        let policy = ExecPolicy::host();
-        for coarse_eps in [0.0, 0.3] {
-            let cfg = ParRefConfig {
-                coarse_epsilon: coarse_eps,
-                ..Default::default()
-            };
-            let r = parfm_bisect(&policy, &g, &CoarsenOptions::default(), &cfg, 3);
-            assert_eq!(r.cut, edge_cut(&g, &r.part));
-            assert!(r.imbalance <= 1.05, "imbalance {}", r.imbalance);
-        }
-    }
-
-    #[test]
-    fn parfm_matches_sequential_quality_class_on_grid() {
-        let g = gen::grid2d(24, 24);
-        let policy = ExecPolicy::host();
-        let seq = crate::fm::fm_bisect(
-            &policy,
-            &g,
-            &CoarsenOptions::default(),
-            &FmConfig::default(),
-            3,
-        );
-        let par = parfm_bisect(
-            &policy,
-            &g,
-            &CoarsenOptions::default(),
-            &Default::default(),
-            3,
-        );
-        assert!(
-            par.cut as f64 <= 2.0 * seq.cut as f64,
-            "parallel refinement too weak: {} vs {}",
-            par.cut,
-            seq.cut
-        );
-        assert!(par.imbalance <= 1.05, "imbalance {}", par.imbalance);
-    }
-
-    #[test]
-    fn pure_parallel_without_polish_still_reasonable() {
-        let g = gen::grid2d(24, 24);
-        let policy = ExecPolicy::host();
-        let cfg = ParRefConfig {
-            sequential_polish: false,
-            ..Default::default()
-        };
-        let r = parfm_bisect(&policy, &g, &CoarsenOptions::default(), &cfg, 9);
-        // Optimal is 24; grant generous slack for the purely parallel path.
-        assert!(r.cut <= 96, "cut {}", r.cut);
-        assert_eq!(r.cut, edge_cut(&g, &r.part));
-    }
-
-    #[test]
     fn empty_graph() {
         let g = mlcg_graph::Csr::empty();
         let mut part: Vec<u32> = vec![];
-        let cut = parallel_refine(&ExecPolicy::host(), &g, &mut part, &Default::default());
-        assert_eq!(cut, 0);
+        let out = rounds(&ExecPolicy::host(), &g, &mut part, &Default::default());
+        assert_eq!(out.cut, 0);
     }
 }

@@ -9,11 +9,12 @@
 //! criterion is the iterate 2-norm difference falling below 1e-10.
 
 use crate::fm::FmConfig;
+use crate::parref::{rounds_then_polish, ParRefConfig, ParRefWorkspace};
 use crate::result::{audit_partition, split_weighted_median, PartitionResult};
 use mlcg_coarsen::{coarsen, CoarsenOptions};
 use mlcg_graph::Csr;
-use mlcg_par::ExecPolicy;
-use mlcg_sparse::fiedler::{fiedler_from_traced, fiedler_vector_traced};
+use mlcg_par::{ExecPolicy, TraceCollector};
+use mlcg_sparse::fiedler::{fiedler_from, fiedler_vector, PowerIterResult};
 
 /// Spectral bisection tuning.
 #[derive(Clone, Debug)]
@@ -29,8 +30,9 @@ pub struct SpectralConfig {
     ///
     /// `None` (the default) keeps the paper's pure-spectral protocol: the
     /// weighted-median split is final and allows no imbalance. `Some`
-    /// polishes the split with [`fm_refine_boundary_traced`], trading up
-    /// to the configured epsilon of imbalance for a lower cut.
+    /// polishes the split with [`rounds_then_polish`] (the boundary FM,
+    /// preceded by parallel rounds on large graphs), trading up to the
+    /// configured epsilon of imbalance for a lower cut.
     pub fm_polish: Option<FmConfig>,
 }
 
@@ -60,35 +62,32 @@ pub fn spectral_bisect(
 
     let span = trace.timed_span(|| "partition/spectral/refine".to_string());
     let coarsest = h.coarsest();
-    let mut x = fiedler_vector_traced(
-        policy,
-        coarsest,
-        cfg.tol,
-        cfg.coarse_max_iters,
-        seed,
-        &trace,
-        "fiedler/coarsest",
-    )
-    .vector;
+    let mut x = traced_power_iteration(&trace, "fiedler/coarsest", || {
+        fiedler_vector(policy, coarsest, cfg.tol, cfg.coarse_max_iters, seed)
+    });
     for level in (0..h.num_levels()).rev() {
         x = h.interpolate_level(level, &x);
-        x = fiedler_from_traced(
-            policy,
-            h.graph_above(level),
-            x,
-            cfg.tol,
-            cfg.refine_max_iters,
-            &trace,
-            &format!("fiedler/level{level}"),
-        )
-        .vector;
+        x = traced_power_iteration(&trace, &format!("fiedler/level{level}"), || {
+            fiedler_from(
+                policy,
+                h.graph_above(level),
+                x,
+                cfg.tol,
+                cfg.refine_max_iters,
+            )
+        });
     }
     let mut part = split_weighted_median(g, &x);
     if let Some(fm_cfg) = &cfg.fm_polish {
-        // Same crossover as the hybrid FM driver: parallel rounds strip
-        // the bulk positive gains on large graphs, then the sequential
-        // boundary FM polishes from the rounds' final frontier.
-        crate::parref::rounds_then_polish(policy, g, &mut part, fm_cfg, 0.5, &trace);
+        // Same crossover step as each hybrid uncoarsening level: rounds
+        // strip the bulk positive gains on large graphs, then the
+        // sequential boundary FM polishes from the rounds' final frontier.
+        let _mem = trace.heap_scope(|| "parref/polish".to_string());
+        let crossover = ParRefConfig::default().crossover_threshold(policy);
+        let mut ws = ParRefWorkspace::new();
+        rounds_then_polish(
+            policy, g, &mut part, fm_cfg, crossover, 0.5, None, &mut ws, &trace,
+        );
     }
     let refine_seconds = span.finish();
     // The weighted-median split overshoots total/2 by at most one vertex;
@@ -104,6 +103,23 @@ pub fn spectral_bisect(
     audit_partition(&trace, "partition/spectral", g, &part, cap);
     PartitionResult::new(g, part, coarsen_seconds, refine_seconds, h.num_levels())
         .with_trace(trace.report())
+}
+
+/// Run one power iteration under a span and heap scope named `phase`,
+/// adding its iterations to the `fiedler/power_iterations` counter.
+/// Returns the Fiedler estimate.
+fn traced_power_iteration(
+    trace: &TraceCollector,
+    phase: &str,
+    run: impl FnOnce() -> PowerIterResult,
+) -> Vec<f64> {
+    let mem = trace.heap_scope(|| phase.to_string());
+    let span = trace.span(|| phase.to_string());
+    let r = run();
+    trace.counter_add("fiedler/power_iterations", r.iterations as u64);
+    span.finish();
+    drop(mem);
+    r.vector
 }
 
 #[cfg(test)]

@@ -15,9 +15,9 @@ use mlcg_graph::metrics::{edge_cut, part_weights};
 use mlcg_graph::{generators, Csr};
 use mlcg_par::proplite::{run_cases, Gen};
 use mlcg_par::{ExecPolicy, TraceCollector};
-use mlcg_partition::fm::{fm_uncoarsen_frac_hybrid, FmConfig};
+use mlcg_partition::fm::{fm_refine, fm_uncoarsen_frac_hybrid, FmConfig};
 use mlcg_partition::parref::{
-    parallel_refine, parallel_refine_rounds, ParRefConfig, ParRefWorkspace,
+    parallel_refine_rounds, ParRefConfig, ParRefOutcome, ParRefWorkspace,
 };
 
 /// A graph from the family the issue names: grid2d, rmat (largest
@@ -49,6 +49,13 @@ fn balanced_random_part(n: usize, seed: u64) -> Vec<u32> {
     part
 }
 
+/// Flat rounds over every vertex at a 50/50 split, no vertex slack.
+fn rounds(policy: &ExecPolicy, g: &Csr, part: &mut [u32], cfg: &ParRefConfig) -> ParRefOutcome {
+    let trace = TraceCollector::disabled();
+    let mut ws = ParRefWorkspace::new();
+    parallel_refine_rounds(policy, g, part, cfg, 0.5, false, None, &mut ws, &trace)
+}
+
 /// The strict per-side weight cap [`ParRefConfig::epsilon`] promises for a
 /// 50/50 split without vertex slack — mirrors `fm::Balance` so the tests
 /// pin the public contract, not the implementation.
@@ -68,13 +75,10 @@ fn parallel_rounds_never_worsen_and_match_edge_cut() {
         let seed = gen.u64();
         let part = balanced_random_part(g.n(), seed);
         let before = edge_cut(&g, &part);
-        let cfg = ParRefConfig {
-            sequential_polish: false,
-            ..Default::default()
-        };
+        let cfg = ParRefConfig::default();
         for policy in ExecPolicy::all_test_policies() {
             let mut p = part.clone();
-            let after = parallel_refine(&policy, &g, &mut p, &cfg);
+            let after = rounds(&policy, &g, &mut p, &cfg).cut;
             assert!(after <= before, "{policy}: worsened {before} -> {after}");
             assert_eq!(after, edge_cut(&g, &p), "{policy}: returned cut drifted");
         }
@@ -84,21 +88,18 @@ fn parallel_rounds_never_worsen_and_match_edge_cut() {
 #[test]
 fn envelope_holds_without_polish() {
     // Regression territory for the pre-rewrite bug: the budget granted one
-    // max-vertex past the strict limit and `sequential_polish: false`
-    // shipped the overshoot. From a feasible start, the repair phase (or
-    // the rollback-to-entry rule) must restore the strict envelope.
+    // max-vertex past the strict limit and the rounds alone shipped the
+    // overshoot. From a feasible start, the repair phase (or the
+    // rollback-to-entry rule) must restore the strict envelope.
     run_cases(24, 0xC2, |gen| {
         let g = suite_graph(gen);
         let seed = gen.u64();
-        let cfg = ParRefConfig {
-            sequential_polish: false,
-            ..Default::default()
-        };
+        let cfg = ParRefConfig::default();
         let bound = strict_bound(&g, cfg.epsilon);
         for policy in ExecPolicy::all_test_policies() {
             let mut p = balanced_random_part(g.n(), seed);
             let before = edge_cut(&g, &p);
-            let after = parallel_refine(&policy, &g, &mut p, &cfg);
+            let after = rounds(&policy, &g, &mut p, &cfg).cut;
             let (w0, w1) = part_weights(&g, &p);
             assert!(
                 w0.max(w1) <= bound,
@@ -116,12 +117,19 @@ fn envelope_holds_with_polish() {
         let g = suite_graph(gen);
         let seed = gen.u64();
         let cfg = ParRefConfig::default();
-        assert!(cfg.sequential_polish);
+        // The rounds, then a two-pass boundary FM seeded by their frontier.
+        let polish = FmConfig {
+            max_passes: 2,
+            epsilon: cfg.epsilon,
+            vertex_slack: false,
+        };
+        let trace = TraceCollector::disabled();
         let bound = strict_bound(&g, cfg.epsilon);
         for policy in ExecPolicy::all_test_policies() {
             let mut p = balanced_random_part(g.n(), seed);
             let before = edge_cut(&g, &p);
-            let after = parallel_refine(&policy, &g, &mut p, &cfg);
+            let out = rounds(&policy, &g, &mut p, &cfg);
+            let after = fm_refine(&g, &mut p, &polish, 0.5, Some(&out.frontier), &trace).cut;
             let (w0, w1) = part_weights(&g, &p);
             assert!(
                 w0.max(w1) <= bound,
@@ -154,10 +162,7 @@ fn seeded_rounds_accept_any_boundary_covering_frontier() {
             frontier.push(rng.next_below(g.n() as u64) as u32);
         }
         let before = edge_cut(&g, &part0);
-        let cfg = ParRefConfig {
-            sequential_polish: false,
-            ..Default::default()
-        };
+        let cfg = ParRefConfig::default();
         for policy in ExecPolicy::all_test_policies() {
             let mut p = part0.clone();
             let mut ws = ParRefWorkspace::new();

@@ -12,10 +12,10 @@ use mlcg_graph::metrics::{edge_cut, part_weights};
 use mlcg_graph::Csr;
 use mlcg_par::proplite::{run_cases, Gen};
 use mlcg_par::{ExecPolicy, TraceCollector};
-use mlcg_partition::fm::{fm_refine_frac, FmConfig};
+use mlcg_partition::fm::{fm_refine, FmConfig};
 use mlcg_partition::ggg::greedy_graph_growing_frac;
 use mlcg_partition::kway::{kway_imbalance, kway_partition};
-use mlcg_partition::parref::{parallel_refine, ParRefConfig};
+use mlcg_partition::parref::{parallel_refine_rounds, ParRefConfig, ParRefWorkspace};
 
 fn connected_graph(g: &mut Gen) -> Csr {
     let n = g.usize_in(4, 50);
@@ -59,7 +59,7 @@ fn fractional_fm_respects_its_target() {
         let frac = gen.usize_in(30, 71) as f64 / 100.0;
         let mut part = balanced_random_part(g.n(), seed);
         let cfg = FmConfig::default();
-        let cut = fm_refine_frac(&g, &mut part, &cfg, frac);
+        let cut = fm_refine(&g, &mut part, &cfg, frac, None, &TraceCollector::disabled()).cut;
         assert_eq!(cut, edge_cut(&g, &part));
         let total = g.total_vwgt();
         let (w0, w1) = part_weights(&g, &part);
@@ -175,7 +175,8 @@ fn boundary_fm_incremental_cut_matches_edge_cut() {
         let (g, _) = boundary_suite_graph(gen);
         let seed = gen.u64();
         let mut part = balanced_random_part(g.n(), seed);
-        let cut = fm_refine_frac(&g, &mut part, &FmConfig::default(), 0.5);
+        let trace = TraceCollector::disabled();
+        let cut = fm_refine(&g, &mut part, &FmConfig::default(), 0.5, None, &trace).cut;
         assert_eq!(cut, edge_cut(&g, &part), "incremental cut drifted");
     });
 }
@@ -187,7 +188,7 @@ fn boundary_fm_keeps_the_balance_envelope() {
         let seed = gen.u64();
         let mut part = balanced_random_part(g.n(), seed);
         let cfg = FmConfig::default();
-        let cut = fm_refine_frac(&g, &mut part, &cfg, 0.5);
+        let cut = fm_refine(&g, &mut part, &cfg, 0.5, None, &TraceCollector::disabled()).cut;
         assert_eq!(cut, edge_cut(&g, &part));
         let total = g.total_vwgt();
         let max_vwgt = g.vwgt().iter().copied().max().unwrap_or(1);
@@ -204,13 +205,15 @@ fn parallel_refine_is_sound() {
         let seed = gen.u64();
         let part = balanced_random_part(g.n(), seed);
         let before = edge_cut(&g, &part);
-        let cfg = ParRefConfig {
-            sequential_polish: false,
-            ..Default::default()
-        };
+        let cfg = ParRefConfig::default();
+        let trace = TraceCollector::disabled();
         for policy in ExecPolicy::all_test_policies() {
             let mut p = part.clone();
-            let after = parallel_refine(&policy, &g, &mut p, &cfg);
+            let mut ws = ParRefWorkspace::new();
+            let after = parallel_refine_rounds(
+                &policy, &g, &mut p, &cfg, 0.5, false, None, &mut ws, &trace,
+            )
+            .cut;
             assert!(after <= before, "refinement worsened {before} -> {after}");
             assert_eq!(after, edge_cut(&g, &p));
         }

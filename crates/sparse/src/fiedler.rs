@@ -12,7 +12,7 @@ use crate::matrix::CsrMatrix;
 use crate::ops::{deflate_constant, norm2, normalize, spmv};
 use mlcg_graph::Csr;
 use mlcg_par::rng::Xoshiro256pp;
-use mlcg_par::{ExecPolicy, TraceCollector};
+use mlcg_par::ExecPolicy;
 
 /// Outcome of a power iteration run.
 #[derive(Clone, Debug)]
@@ -108,47 +108,6 @@ pub fn fiedler_from(
         converged,
         lambda2: sigma - mu,
     }
-}
-
-/// [`fiedler_vector`] with a trace sink: records a span named `phase`, the
-/// `fiedler/power_iterations` counter, and a `mem/<phase>/{peak,net}_bytes`
-/// heap-gauge pair. With a disabled collector this is exactly
-/// [`fiedler_vector`].
-pub fn fiedler_vector_traced(
-    policy: &ExecPolicy,
-    g: &Csr,
-    tol: f64,
-    max_iters: usize,
-    seed: u64,
-    trace: &TraceCollector,
-    phase: &str,
-) -> PowerIterResult {
-    let mem = trace.heap_scope(|| phase.to_string());
-    let span = trace.span(|| phase.to_string());
-    let r = fiedler_vector(policy, g, tol, max_iters, seed);
-    trace.counter_add("fiedler/power_iterations", r.iterations as u64);
-    span.finish();
-    drop(mem);
-    r
-}
-
-/// [`fiedler_from`] with a trace sink; see [`fiedler_vector_traced`].
-pub fn fiedler_from_traced(
-    policy: &ExecPolicy,
-    g: &Csr,
-    x: Vec<f64>,
-    tol: f64,
-    max_iters: usize,
-    trace: &TraceCollector,
-    phase: &str,
-) -> PowerIterResult {
-    let mem = trace.heap_scope(|| phase.to_string());
-    let span = trace.span(|| phase.to_string());
-    let r = fiedler_from(policy, g, x, tol, max_iters);
-    trace.counter_add("fiedler/power_iterations", r.iterations as u64);
-    span.finish();
-    drop(mem);
-    r
 }
 
 /// Residual `‖L·x − λ₂·x‖₂` — a convergence quality check used in tests and

@@ -9,13 +9,15 @@
 //! mlcg convert  <in> <out>                      format conversion
 //!
 //! graphs: .mtx (MatrixMarket), .graph/.metis (METIS), else edge list
-//! opts:   --method hec|hec2|hec3|hem|mtmetis|gosh|goshec|mis2|suitor
+//! opts:   --method hec|hec2|hec3|hem|mtmetis|gosh|goshec|mis2|suitor|seq-hec|seq-hem
 //!         --construction sort|hash|spgemm|global-sort|hybrid
-//!         --refine fm|spectral|parallel      (bisect only)
+//!         --refine fm|spectral               (bisect only)
 //!         --policy serial|host|device        (default host)
-//!         --cutoff <n>  --seed <s>  -k <k>
+//!         --cutoff <n>  --seed <s>  -k <k>   (k ≥ 1)
 //!         --out <file>                       write partition labels / graph
 //! ```
+//!
+//! A malformed or out-of-range option value is rejected with exit code 2.
 
 use multilevel_coarsen::coarsen::{
     coarsen, CoarsenOptions, ConstructMethod, ConstructOptions, MapMethod,
@@ -23,11 +25,11 @@ use multilevel_coarsen::coarsen::{
 use multilevel_coarsen::graph::{cc, io, metrics::DegreeStats, Csr};
 use multilevel_coarsen::par::ExecPolicy;
 use multilevel_coarsen::partition::{
-    fm_bisect, kway_partition, parfm_bisect, spectral_bisect, FmConfig, ParRefConfig,
-    SpectralConfig,
+    fm_bisect, kway_partition, spectral_bisect, FmConfig, SpectralConfig,
 };
 use std::path::{Path, PathBuf};
 use std::process::exit;
+use std::str::FromStr;
 
 fn usage() -> ! {
     eprintln!(
@@ -37,11 +39,19 @@ fn usage() -> ! {
     exit(2);
 }
 
+/// The `--refine` choices of `bisect`.
+#[derive(Clone, Copy, Default)]
+enum Refine {
+    #[default]
+    Fm,
+    Spectral,
+}
+
 #[derive(Default)]
 struct Opts {
     method: Option<MapMethod>,
     construction: Option<ConstructMethod>,
-    refine: Option<String>,
+    refine: Refine,
     policy: Option<String>,
     cutoff: Option<usize>,
     seed: u64,
@@ -49,6 +59,15 @@ struct Opts {
     scale: u32,
     out: Option<PathBuf>,
     positional: Vec<String>,
+}
+
+/// Parse the value of a numeric option, exiting with code 2 when it is
+/// not a number of the expected type.
+fn number<T: FromStr>(flag: &str, value: &str) -> T {
+    value.parse().unwrap_or_else(|_| {
+        eprintln!("invalid value {value:?} for {flag}");
+        exit(2);
+    })
 }
 
 fn parse_opts(args: &[String]) -> Opts {
@@ -80,12 +99,27 @@ fn parse_opts(args: &[String]) -> Opts {
                     exit(2);
                 }));
             }
-            "--refine" => o.refine = Some(next("--refine").clone()),
+            "--refine" => {
+                o.refine = match next("--refine").as_str() {
+                    "fm" => Refine::Fm,
+                    "spectral" => Refine::Spectral,
+                    other => {
+                        eprintln!("unknown refinement {other}");
+                        exit(2);
+                    }
+                };
+            }
             "--policy" => o.policy = Some(next("--policy").clone()),
-            "--cutoff" => o.cutoff = next("--cutoff").parse().ok(),
-            "--seed" => o.seed = next("--seed").parse().unwrap_or(42),
-            "-k" => o.k = next("-k").parse().unwrap_or(2),
-            "--scale" => o.scale = next("--scale").parse().unwrap_or(0),
+            "--cutoff" => o.cutoff = Some(number("--cutoff", next("--cutoff"))),
+            "--seed" => o.seed = number("--seed", next("--seed")),
+            "-k" => {
+                o.k = number("-k", next("-k"));
+                if o.k == 0 {
+                    eprintln!("-k must be at least 1");
+                    exit(2);
+                }
+            }
+            "--scale" => o.scale = number("--scale", next("--scale")),
             "--out" => o.out = Some(PathBuf::from(next("--out"))),
             other if !other.starts_with('-') => o.positional.push(other.to_string()),
             other => {
@@ -206,15 +240,10 @@ fn main() {
             let g = load(path);
             let policy = policy_of(&o);
             let copts = coarsen_opts(&o);
-            let r = match o.refine.as_deref().unwrap_or("fm") {
-                "fm" => fm_bisect(&policy, &g, &copts, &FmConfig::default(), o.seed),
-                "spectral" => {
+            let r = match o.refine {
+                Refine::Fm => fm_bisect(&policy, &g, &copts, &FmConfig::default(), o.seed),
+                Refine::Spectral => {
                     spectral_bisect(&policy, &g, &copts, &SpectralConfig::default(), o.seed)
-                }
-                "parallel" => parfm_bisect(&policy, &g, &copts, &ParRefConfig::default(), o.seed),
-                other => {
-                    eprintln!("unknown refinement {other}");
-                    exit(2);
                 }
             };
             println!("cut = {}", r.cut);

@@ -7,8 +7,9 @@ use multilevel_coarsen::coarsen::ace::{ace_coarsen, AceOptions};
 use multilevel_coarsen::coarsen::mapping::suitor::b_suitor;
 use multilevel_coarsen::graph::metrics::edge_cut;
 use multilevel_coarsen::graph::suite;
+use multilevel_coarsen::partition::fm::fm_uncoarsen_frac_hybrid;
 use multilevel_coarsen::partition::kway::kway_partition;
-use multilevel_coarsen::partition::parref::{parfm_bisect, ParRefConfig};
+use multilevel_coarsen::partition::parref::ParRefConfig;
 use multilevel_coarsen::prelude::*;
 
 #[test]
@@ -103,13 +104,16 @@ fn kway_and_parref_on_the_mini_suite() {
             kw.imbalance
         );
 
-        let pr = parfm_bisect(
-            &policy,
-            g,
-            &CoarsenOptions::default(),
-            &ParRefConfig::default(),
-            3,
-        );
+        // Crossover 1: parallel rounds run on every uncoarsening level.
+        let h = coarsen(&policy, g, &CoarsenOptions::default());
+        let parref = ParRefConfig {
+            crossover_frontier: Some(1),
+            ..Default::default()
+        };
+        let trace = TraceCollector::disabled();
+        let part =
+            fm_uncoarsen_frac_hybrid(&policy, &h, &FmConfig::default(), &parref, 0.5, 3, &trace);
+        let pr_cut = edge_cut(g, &part);
         let fm = fm_bisect(
             &policy,
             g,
@@ -118,10 +122,10 @@ fn kway_and_parref_on_the_mini_suite() {
             3,
         );
         assert!(
-            pr.cut as f64 <= 2.5 * fm.cut.max(1) as f64,
+            pr_cut as f64 <= 2.5 * fm.cut.max(1) as f64,
             "{}: parallel refinement too weak ({} vs {})",
             ng.name,
-            pr.cut,
+            pr_cut,
             fm.cut
         );
     }

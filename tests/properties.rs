@@ -127,8 +127,11 @@ fn fm_never_increases_cut_and_stays_balanced() {
             part[idx] = 1 - from;
         }
         let before = edge_cut(&g, &part);
+        let trace = TraceCollector::disabled();
+        let cfg = FmConfig::default();
         let after =
-            multilevel_coarsen::partition::fm::fm_refine(&g, &mut part, &FmConfig::default());
+            multilevel_coarsen::partition::fm::fm_refine(&g, &mut part, &cfg, 0.5, None, &trace)
+                .cut;
         assert!(after <= before, "FM worsened {before} -> {after}");
         assert_eq!(after, edge_cut(&g, &part));
         let (w0, w1) = multilevel_coarsen::graph::metrics::part_weights(&g, &part);
