@@ -6,7 +6,8 @@
 //! coarsening phase is parallel. Each pass greedily moves the
 //! best-gain balance-feasible vertex, locking moved vertices, and rolls
 //! back to the best prefix — the classic linear-time heuristic, here with
-//! a lazy max-heap over weighted gains.
+//! an indexed max-heap over weighted gains that each move updates in place
+//! (`crate::gainheap`).
 //!
 //! Refinement is *boundary-driven*: a pass computes gains and heap-seeds
 //! only the frontier (vertices with at least one cut edge, plus anything
@@ -18,13 +19,13 @@
 //! uncoarsening never rescans interior vertices whose aggregate was
 //! interior one level down.
 
+use crate::gainheap::GainHeap;
 use crate::parref::{rounds_then_polish, ParRefConfig, ParRefWorkspace};
 use crate::result::{audit_partition, PartitionResult};
 use mlcg_coarsen::{coarsen, CoarsenOptions, Hierarchy};
 use mlcg_graph::metrics::edge_cut;
 use mlcg_graph::{Csr, VId};
 use mlcg_par::{ExecPolicy, TraceCollector};
-use std::collections::BinaryHeap;
 
 /// FM tuning parameters.
 #[derive(Clone, Debug)]
@@ -143,8 +144,9 @@ impl Balance {
 /// boundary). Balanced runs never pay this cost.
 ///
 /// Each pass records an `fm/pass{N}` span and an `fm/boundary_size` gauge
-/// on `trace`, and prefix rollbacks feed the `fm/moves_rolled_back`
-/// counter.
+/// on `trace`; every move the pass makes feeds the `fm/moves_committed`
+/// counter, and the ones past the best prefix, undone at its end,
+/// `fm/moves_rolled_back`.
 pub fn fm_refine(
     g: &Csr,
     part: &mut [u32],
@@ -183,8 +185,9 @@ pub fn fm_refine(
     // by the frontier invariant (any neighbor flip re-frontiers the
     // vertex).
     let mut gain_known: Vec<bool> = vec![false; n];
-    let mut version: Vec<u32> = vec![0; n];
     let mut locked: Vec<bool> = vec![false; n];
+    // Holds exactly the unlocked move candidates, each at its current gain.
+    let mut heap = GainHeap::new(n);
     // stamp[u] == epoch marks membership in the frontier being built for
     // the *next* pass (and dedups the initial seed at epoch 1).
     let mut stamp: Vec<u32> = vec![0; n];
@@ -233,7 +236,7 @@ pub fn fm_refine(
         let span = trace.span(|| format!("fm/pass{pass}"));
         epoch += 1;
         let mut next: Vec<u32> = Vec::new();
-        let mut heap: BinaryHeap<(i64, u32, u32)> = BinaryHeap::new();
+        heap.clear();
         // Recompute gains over the frontier; heap-seed only boundary
         // vertices. An interior frontier member keeps its (fresh) gain but
         // can only move after a neighbor's committed move pushes it.
@@ -255,7 +258,7 @@ pub fn fm_refine(
             gain_known[u] = true;
             locked[u] = false;
             if extw > 0 {
-                heap.push((gsum, u as u32, version[u]));
+                heap.upsert(u as u32, gsum);
                 boundary_size += 1;
                 if stamp[u] != epoch {
                     stamp[u] = epoch;
@@ -290,7 +293,7 @@ pub fn fm_refine(
                     // Pushed even when interior (ext == 0): shedding
                     // weight off an over-limit side may require moving
                     // vertices with no cut edge at all.
-                    heap.push((gsum, u as u32, version[u]));
+                    heap.upsert(u as u32, gsum);
                 }
             }
         }
@@ -310,15 +313,14 @@ pub fn fm_refine(
         let abort_limit = (2 * boundary_size).max(64);
         let mut since_best = 0usize;
 
-        while let Some((gval, u, ver)) = heap.pop() {
+        while let Some((_, u)) = heap.pop() {
             let u = u as usize;
-            if locked[u] || ver != version[u] || gval != gain[u] {
-                continue; // stale entry
-            }
             let from = part[u] as usize;
             let to = 1 - from;
             if wpart[to] + g.vwgt()[u] > bal.loose[to] {
-                continue; // balance-infeasible right now
+                // Balance-infeasible right now; a later neighbor move
+                // re-admits it.
+                continue;
             }
             // Commit the move.
             locked[u] = true;
@@ -390,16 +392,17 @@ pub fn fm_refine(
                     ext[v] = extw;
                     gain_known[v] = true;
                 }
-                version[v] += 1;
-                // Only boundary vertices re-enter the heap; a vertex whose
-                // last cut edge just disappeared drops out (its remaining
-                // heap entries are stale by the gain change).
+                // Only boundary vertices stay candidates; a vertex whose
+                // last cut edge just disappeared drops out.
                 if ext[v] > 0 {
-                    heap.push((gain[v], v as u32, version[v]));
+                    heap.upsert(v as u32, gain[v]);
+                } else {
+                    heap.remove(v as u32);
                 }
             }
         }
         // Roll back past the best prefix.
+        trace.counter_add("fm/moves_committed", moves.len() as u64);
         trace.counter_add("fm/moves_rolled_back", (moves.len() - best_len) as u64);
         for &u in &moves[best_len..] {
             let u = u as usize;
@@ -477,8 +480,8 @@ pub fn fm_refine_frac_full_scan(g: &Csr, part: &mut [u32], cfg: &FmConfig, frac:
     }
 
     let mut gain: Vec<i64> = vec![0; n];
-    let mut version: Vec<u32> = vec![0; n];
     let mut locked: Vec<bool> = vec![false; n];
+    let mut heap = GainHeap::new(n);
 
     for _pass in 0..cfg.max_passes {
         // (Re)compute gains: external minus internal weight.
@@ -492,21 +495,19 @@ pub fn fm_refine_frac_full_scan(g: &Csr, part: &mut [u32], cfg: &FmConfig, frac:
                 }
             }
             gain[u] = gsum;
-            version[u] = 0;
             locked[u] = false;
         }
-        let mut heap: BinaryHeap<(i64, u32, u32)> =
-            (0..n).map(|u| (gain[u], u as u32, 0u32)).collect();
+        heap.clear();
+        for (u, &gu) in gain.iter().enumerate() {
+            heap.upsert(u as u32, gu);
+        }
 
         let mut best_key = (bal.excess(&wpart), cut);
         let mut best_len = 0usize;
         let mut moves: Vec<u32> = Vec::new();
 
-        while let Some((gval, u, ver)) = heap.pop() {
+        while let Some((_, u)) = heap.pop() {
             let u = u as usize;
-            if locked[u] || ver != version[u] || gval != gain[u] {
-                continue; // stale entry
-            }
             let from = part[u] as usize;
             let to = 1 - from;
             if wpart[to] + g.vwgt()[u] > bal.loose[to] {
@@ -533,8 +534,7 @@ pub fn fm_refine_frac_full_scan(g: &Csr, part: &mut [u32], cfg: &FmConfig, frac:
                 } else {
                     gain[v] -= 2 * w as i64;
                 }
-                version[v] += 1;
-                heap.push((gain[v], v as u32, version[v]));
+                heap.upsert(v as u32, gain[v]);
             }
         }
         for &u in &moves[best_len..] {

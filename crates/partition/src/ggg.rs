@@ -6,10 +6,10 @@
 //! the region holds half the vertex weight. Several restarts keep the best
 //! bisection.
 
+use crate::gainheap::GainHeap;
 use mlcg_graph::metrics::edge_cut;
 use mlcg_graph::{Csr, VId};
 use mlcg_par::rng::Xoshiro256pp;
-use std::collections::BinaryHeap;
 
 /// Number of random restarts.
 const RESTARTS: usize = 4;
@@ -54,82 +54,44 @@ pub fn greedy_graph_growing_frac(g: &Csr, seed: u64, frac: f64) -> Vec<u32> {
 fn grow_from(g: &Csr, start: u32, target: u64) -> Vec<u32> {
     let n = g.n();
     let mut part = vec![1u32; n];
-    let mut in_region = vec![false; n];
-    let mut gain: Vec<i64> = vec![0; n];
-    let mut version: Vec<u32> = vec![0; n];
-    let mut heap: BinaryHeap<(i64, u32, u32)> = BinaryHeap::new();
+    // Gain of absorbing each outside vertex: edges into the region become
+    // internal. Starts at -(weighted degree), so the heap orders the
+    // frontier by the true FM gain of moving into the region.
+    let mut gain: Vec<i64> = (0..n)
+        .map(|u| -(g.weights(u as VId).iter().sum::<u64>() as i64))
+        .collect();
+    // Holds exactly the frontier: outside vertices with a region neighbor.
+    let mut heap = GainHeap::new(n);
     let mut weight = 0u64;
 
-    let add = |u: u32,
-               part: &mut Vec<u32>,
-               in_region: &mut Vec<bool>,
-               gain: &mut Vec<i64>,
-               version: &mut Vec<u32>,
-               heap: &mut BinaryHeap<(i64, u32, u32)>,
-               weight: &mut u64| {
+    let mut add = |u: u32, part: &mut [u32], heap: &mut GainHeap| {
         part[u as usize] = 0;
-        in_region[u as usize] = true;
-        *weight += g.vwgt()[u as usize];
+        weight += g.vwgt()[u as usize];
         for (v, w) in g.edges(u) {
             let v = v as usize;
-            if in_region[v] {
+            if part[v] == 0 {
                 continue;
             }
-            // Gain of absorbing v: edges to the region become internal.
             gain[v] += 2 * w as i64;
-            version[v] += 1;
-            heap.push((gain[v], v as u32, version[v]));
+            heap.upsert(v as u32, gain[v]);
         }
+        weight
     };
 
-    // Initialize all gains as -(weighted degree) so the heap ordering is
-    // the true FM gain of moving into the region.
-    for (u, gslot) in gain.iter_mut().enumerate() {
-        *gslot = -(g.weights(u as VId).iter().sum::<u64>() as i64);
-    }
-    add(
-        start,
-        &mut part,
-        &mut in_region,
-        &mut gain,
-        &mut version,
-        &mut heap,
-        &mut weight,
-    );
-
-    while weight < target {
-        let Some((gval, u, ver)) = heap.pop() else {
-            // Frontier exhausted (should not happen on connected graphs
-            // before reaching half weight); absorb any remaining vertex.
-            if let Some(u) = (0..n as u32).find(|&u| !in_region[u as usize]) {
-                add(
-                    u,
-                    &mut part,
-                    &mut in_region,
-                    &mut gain,
-                    &mut version,
-                    &mut heap,
-                    &mut weight,
-                );
-                continue;
-            }
-            break;
-        };
-        let u = u as usize;
-        if in_region[u] || ver != version[u] || gval != gain[u] {
-            continue;
-        }
+    let mut grown = add(start, &mut part, &mut heap);
+    while grown < target {
         // Classic GGG: absorb the best-gain frontier vertex outright; the
         // final overshoot is at most one vertex weight and FM repairs it.
-        add(
-            u as u32,
-            &mut part,
-            &mut in_region,
-            &mut gain,
-            &mut version,
-            &mut heap,
-            &mut weight,
-        );
+        // An exhausted frontier (a disconnected graph) absorbs the first
+        // vertex still outside.
+        let next = match heap.pop() {
+            Some((_, u)) => u,
+            None => match (0..n as u32).find(|&u| part[u as usize] != 0) {
+                Some(u) => u,
+                None => break,
+            },
+        };
+        grown = add(next, &mut part, &mut heap);
     }
     part
 }

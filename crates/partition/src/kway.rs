@@ -14,13 +14,22 @@
 //! so recursive k-way inherits the parallel coarse-level engine on the
 //! top-level (largest) subproblems, where it pays, and stays on the
 //! sequential fast path for the small deep-recursion pieces.
+//!
+//! Below the top bisection, the two sides of every split are independent
+//! subproblems; under a parallel policy they recurse concurrently, one
+//! per pool participant (see `recurse`). A side that bisection left
+//! disconnected gives its heavy components proportional shares of the
+//! labels to recurse into and packs the light ones whole into the
+//! lightest labels (see `label_components`).
 
 use crate::fm::{fm_bisect_frac, FmConfig};
 use crate::kwayref::{kway_direct_refine, KwayRefineConfig};
 use mlcg_coarsen::CoarsenOptions;
 use mlcg_graph::metrics::edge_cut;
 use mlcg_graph::Csr;
-use mlcg_par::{ExecPolicy, Timer, TraceCollector};
+use mlcg_par::{parallel_for_weighted, ExecPolicy, Timer, TraceCollector};
+use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 /// Outcome of a k-way partition.
 #[derive(Clone, Debug)]
@@ -114,18 +123,7 @@ pub fn kway_partition_cfg(
 ) -> KwayResult {
     assert!(k >= 1, "k must be positive");
     let t = Timer::start();
-    let mut part = vec![0u32; g.n()];
-    recurse(
-        policy,
-        g,
-        k,
-        0,
-        coarsen_opts,
-        fm,
-        seed,
-        &mut part,
-        &(0..g.n() as u32).collect::<Vec<_>>(),
-    );
+    let mut part = recurse(policy, g, k, coarsen_opts, fm, seed);
     let (cut, refine_seconds) = if cfg.direct_refine && k >= 2 && g.n() > 0 {
         let rt = Timer::start();
         let cut = kway_direct_refine(policy, g, &mut part, k, &cfg.refine, trace);
@@ -192,133 +190,260 @@ pub fn kway_empty_parts(part: &[u32], k: usize) -> usize {
     seen.iter().filter(|&&s| !s).count()
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Label `g`'s vertices `0..k` by recursive bisection: split `k` into
+/// `k0 = ⌈k/2⌉` and `k1 = ⌊k/2⌋`, bisect `g` with side 0 targeting
+/// `k0/k` of the weight (so odd `k` stays balanced), label each side with
+/// [`label_side`], and offset side 1's labels by `k0`.
+///
+/// The two sides are independent, so they run as one two-task
+/// [`parallel_for_weighted`] dispatch whose team is sized by the lighter
+/// side's adjacency (twice it): under a parallel policy, called from
+/// outside the pool, two sides that both carry real work recurse
+/// concurrently, and every kernel nested inside a side runs inline on the
+/// participant that claimed it. Under the serial policy, inside a pool
+/// worker, or when either side is too small to amortize a dispatch, side 0
+/// runs before side 1 on the calling thread. Each side returns its own
+/// label vector and the parent scatters both, so the output does not
+/// depend on the schedule.
 fn recurse(
     policy: &ExecPolicy,
     g: &Csr,
     k: usize,
-    base_label: u32,
     coarsen_opts: &CoarsenOptions,
     fm: &FmConfig,
     seed: u64,
-    out: &mut [u32],
-    ids: &[u32], // original ids of g's vertices
-) {
+) -> Vec<u32> {
     if k <= 1 || g.n() <= 1 {
-        for &u in ids {
-            out[u as usize] = base_label;
-        }
-        return;
+        return vec![0; g.n()];
     }
-    // Split k into k0 + k1 (k0 >= k1); the bisection targets a k0:k1
-    // weight ratio so odd k stays balanced.
     let k0 = k.div_ceil(2);
     let k1 = k / 2;
-    // Bias the bisection so side 0 receives k0/k of the weight.
     let r = fm_bisect_frac(policy, g, coarsen_opts, fm, k0 as f64 / k as f64, seed);
 
     // Degenerate bisection: one side came back empty (heavy vertices or a
-    // collapsed coarse hierarchy can defeat the balance constraint). The
-    // old code `continue`d past the empty side, silently dropping its
-    // whole label range and emitting fewer than k parts. Instead, re-split
-    // the non-empty side directly across all k labels.
+    // collapsed coarse hierarchy can defeat the balance constraint).
+    // Dropping the empty side would silently emit fewer than k labels, so
+    // the whole graph is split directly across all k instead.
     let n0 = r.part.iter().filter(|&&s| s == 0).count();
     if n0 == 0 || n0 == g.n() {
-        direct_kway_split(g, k, base_label, out, ids);
-        return;
+        return direct_kway_split(g, k);
     }
 
-    for side in 0..2u32 {
-        let sub_k = if side == 0 { k0 } else { k1 };
-        let label = if side == 0 {
-            base_label
-        } else {
-            base_label + k0 as u32
-        };
-        // Extract the side's induced subgraph (largest component plus any
-        // stragglers, which are labeled directly).
-        let side_ids: Vec<u32> = (0..g.n() as u32)
+    // Each side's vertices, its label count, and its induced subgraph when
+    // it needs more than one label.
+    let sides = [(0u32, k0), (1, k1)].map(|(side, sub_k)| {
+        let ids: Vec<u32> = (0..g.n() as u32)
             .filter(|&u| r.part[u as usize] == side)
             .collect();
-        if sub_k <= 1 {
-            for &u in &side_ids {
-                out[ids[u as usize] as usize] = label;
+        let sub = (sub_k > 1).then(|| mlcg_graph::cc::induced_subgraph(g, &ids).0);
+        (ids, sub_k, sub)
+    });
+    let lighter = sides
+        .iter()
+        .map(|(_, _, sub)| sub.as_ref().map_or(0, |sub| sub.adj().len()))
+        .min()
+        .unwrap_or(0);
+    let labels: [OnceLock<Vec<u32>>; 2] = Default::default();
+    parallel_for_weighted(policy, 2 * lighter, 2, |side| {
+        let (ids, sub_k, sub) = &sides[side];
+        let sub_labels = match sub {
+            Some(sub) => {
+                let sub_seed = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(side as u64 + 1);
+                label_side(policy, sub, *sub_k, coarsen_opts, fm, sub_seed)
             }
-            continue;
-        }
-        let (sub, _) = mlcg_graph::cc::induced_subgraph(g, &side_ids);
-        let sub_ids: Vec<u32> = side_ids.iter().map(|&u| ids[u as usize]).collect();
-        // Recursion merges everything into one label at its `n <= 1` base
-        // case, so a side with fewer vertices than target labels can never
-        // populate them all that way; a direct split uses as many labels
-        // as there are vertices.
-        if side_ids.len() < sub_k {
-            direct_kway_split(&sub, sub_k, label, out, &sub_ids);
-            continue;
-        }
-        // Disconnected sides are possible; recurse on the whole (possibly
-        // disconnected) subgraph only if connected, otherwise fall back to
-        // splitting components round-robin through the bisection of the
-        // largest one.
-        if mlcg_graph::cc::is_connected(&sub) {
-            recurse(
-                policy,
-                &sub,
-                sub_k,
-                label,
-                coarsen_opts,
-                fm,
-                seed.wrapping_mul(6364136223846793005)
-                    .wrapping_add(side as u64 + 1),
-                out,
-                &sub_ids,
-            );
-        } else {
-            // Assign components greedily to the sub-parts by weight. This
-            // never splits a component, so with fewer components than
-            // sub-parts some labels would stay empty — fall back to a
-            // direct vertex-level split in that case.
-            let (comp, ncomp) = mlcg_graph::cc::components(&sub);
-            if ncomp < sub_k {
-                direct_kway_split(&sub, sub_k, label, out, &sub_ids);
-                continue;
-            }
-            let mut loads = vec![0u64; sub_k];
-            let mut comp_part = vec![0u32; ncomp];
-            let mut comp_weight = vec![0u64; ncomp];
-            for (i, &c) in comp.iter().enumerate() {
-                comp_weight[c as usize] += sub.vwgt()[i];
-            }
-            let mut order: Vec<usize> = (0..ncomp).collect();
-            order.sort_by_key(|&c| std::cmp::Reverse(comp_weight[c]));
-            for c in order {
-                let target = (0..sub_k).min_by_key(|&p| loads[p]).expect("sub_k >= 1");
-                comp_part[c] = target as u32;
-                loads[target] += comp_weight[c];
-            }
-            for (i, &c) in comp.iter().enumerate() {
-                out[sub_ids[i] as usize] = label + comp_part[c as usize];
-            }
+            None => vec![0; ids.len()],
+        };
+        labels[side]
+            .set(sub_labels)
+            .expect("each side is labeled once");
+    });
+
+    let mut part = vec![0u32; g.n()];
+    for ((ids, _, _), (sub_labels, offset)) in sides.iter().zip(labels.into_iter().zip([0, k0])) {
+        let sub_labels = sub_labels.into_inner().expect("both sides were labeled");
+        for (&u, &l) in ids.iter().zip(&sub_labels) {
+            part[u as usize] = offset as u32 + l;
         }
     }
+    part
 }
 
-/// Greedy weight-balanced direct split: assign vertices, heaviest first,
-/// to the least-loaded of `k` labels (ties broken toward the lowest
-/// label, so empty labels fill before any label doubles up). Ignores
-/// edges entirely — this is a label-coverage fallback for cases where
-/// recursive bisection cannot populate every label, not a quality path.
-fn direct_kway_split(g: &Csr, k: usize, base_label: u32, out: &mut [u32], ids: &[u32]) {
+/// Label a bisection side's vertices `0..k` (`k >= 2`).
+///
+/// A side with fewer vertices than labels is split directly (recursion
+/// merges everything into one label at its `n <= 1` base case, so it could
+/// not populate them all). A connected side recurses. A disconnected side
+/// — bisection can leave a few stray vertices cut off from the bulk —
+/// goes to [`label_components`] and bumps the `kway/component_splits`
+/// counter on the coarsening trace.
+fn label_side(
+    policy: &ExecPolicy,
+    g: &Csr,
+    k: usize,
+    coarsen_opts: &CoarsenOptions,
+    fm: &FmConfig,
+    seed: u64,
+) -> Vec<u32> {
+    if g.n() < k {
+        return direct_kway_split(g, k);
+    }
+    let (comp, ncomp) = mlcg_graph::cc::components(g);
+    if ncomp == 1 {
+        return recurse(policy, g, k, coarsen_opts, fm, seed);
+    }
+    coarsen_opts.trace.counter_add("kway/component_splits", 1);
+    label_components(policy, g, k, &comp, ncomp, coarsen_opts, fm, seed)
+}
+
+/// Label a disconnected side's vertices `0..k` without giving any
+/// component a whole label it cannot fill.
+///
+/// The `m` heaviest components recurse, sharing the labels in proportion
+/// to their weight (see [`apportion`]); the rest (the *strays*) are packed
+/// whole, heaviest first, onto the lightest label (see [`pack`]). `m` is
+/// chosen by the heaviest label it predicts, each recursing component's
+/// labels taken at an even split of its weight; ties go to the smaller `m`.
+/// The heaviest component therefore always gets labels of its own, and a
+/// side made of one giant component and a few strays splits the giant
+/// across nearly all of its labels instead of confining it to one.
+#[allow(clippy::too_many_arguments)]
+fn label_components(
+    policy: &ExecPolicy,
+    g: &Csr,
+    k: usize,
+    comp: &[u32],
+    ncomp: usize,
+    coarsen_opts: &CoarsenOptions,
+    fm: &FmConfig,
+    seed: u64,
+) -> Vec<u32> {
+    let mut weight = vec![0u64; ncomp];
+    let mut size = vec![0usize; ncomp];
+    for (u, &c) in comp.iter().enumerate() {
+        weight[c as usize] += g.vwgt()[u];
+        size[c as usize] += 1;
+    }
+    // Heaviest first, ties to the lowest component id.
+    let mut order: Vec<usize> = (0..ncomp).collect();
+    order.sort_by_key(|&c| (std::cmp::Reverse(weight[c]), c));
+    let mut best: Option<(u64, Vec<usize>)> = None;
+    for m in 1..=k.min(ncomp) {
+        let Some(shares) = apportion(&order[..m], k, &weight, &size) else {
+            continue;
+        };
+        let mut loads: Vec<u64> = order[..m]
+            .iter()
+            .zip(&shares)
+            .flat_map(|(&c, &s)| std::iter::repeat_n(weight[c].div_ceil(s as u64), s))
+            .collect();
+        pack(&mut loads, &order[m..], &weight);
+        let peak = loads.into_iter().max().unwrap_or(0);
+        if best.as_ref().is_none_or(|(b, _)| peak < *b) {
+            best = Some((peak, shares));
+        }
+    }
+    let (_, shares) = best.expect("a side with at least k vertices can take k labels");
+    let m = shares.len();
+
+    // Vertices of each recursing component, in ascending id order.
+    let mut slot = vec![usize::MAX; ncomp];
+    for (i, &c) in order[..m].iter().enumerate() {
+        slot[c] = i;
+    }
+    let mut members: Vec<Vec<u32>> = vec![Vec::new(); m];
+    for (u, &c) in comp.iter().enumerate() {
+        if let Some(ids) = members.get_mut(slot[c as usize]) {
+            ids.push(u as u32);
+        }
+    }
+    let mut part = vec![0u32; g.n()];
+    let mut loads = vec![0u64; k];
+    let mut base = 0u32;
+    for (i, (ids, &share)) in members.iter().zip(&shares).enumerate() {
+        let labels = if share > 1 {
+            let (sub, _) = mlcg_graph::cc::induced_subgraph(g, ids);
+            let sub_seed = seed.wrapping_add(i as u64);
+            recurse(policy, &sub, share, coarsen_opts, fm, sub_seed)
+        } else {
+            vec![0; ids.len()]
+        };
+        for (&u, &l) in ids.iter().zip(&labels) {
+            part[u as usize] = base + l;
+            loads[(base + l) as usize] += g.vwgt()[u as usize];
+        }
+        base += share as u32;
+    }
+    let stray_labels = pack(&mut loads, &order[m..], &weight);
+    let mut label_of = vec![0u32; ncomp];
+    for (&c, &l) in order[m..].iter().zip(&stray_labels) {
+        label_of[c] = l;
+    }
+    for (u, &c) in comp.iter().enumerate() {
+        if slot[c as usize] == usize::MAX {
+            part[u] = label_of[c as usize];
+        }
+    }
+    part
+}
+
+/// Share `k` labels among `comps` (heaviest first): one each, then every
+/// further label to the component with the heaviest weight per label held
+/// (ties to the earlier one), never more labels than it has vertices.
+/// `None` when they cannot hold `k` labels.
+fn apportion(comps: &[usize], k: usize, weight: &[u64], size: &[usize]) -> Option<Vec<usize>> {
+    let mut shares = vec![1usize; comps.len()];
+    for _ in comps.len()..k {
+        let room = (0..comps.len()).filter(|&i| shares[i] < size[comps[i]]);
+        // w_a / s_a < w_b / s_b, cross-multiplied.
+        let lighter = |a: usize, b: usize| {
+            u128::from(weight[comps[a]]) * (shares[b] as u128)
+                < u128::from(weight[comps[b]]) * (shares[a] as u128)
+        };
+        let i = room.reduce(|a, b| if lighter(a, b) { b } else { a })?;
+        shares[i] += 1;
+    }
+    Some(shares)
+}
+
+/// Pack whole components, in the given (heaviest-first) order, each onto
+/// the lightest label (ties to the lowest), adding their weights to
+/// `loads`. Returns each component's label.
+fn pack(loads: &mut [u64], comps: &[usize], weight: &[u64]) -> Vec<u32> {
+    let mut by_load: BTreeSet<(u64, u32)> = (0..loads.len() as u32)
+        .map(|p| (loads[p as usize], p))
+        .collect();
+    comps
+        .iter()
+        .map(|&c| {
+            let (load, p) = by_load.pop_first().expect("k >= 1");
+            loads[p as usize] = load + weight[c];
+            by_load.insert((loads[p as usize], p));
+            p
+        })
+        .collect()
+}
+
+/// Greedy weight-balanced direct split of `g` into labels `0..k`: assign
+/// vertices, heaviest first, to the least-loaded label (ties broken toward
+/// the lowest label, so empty labels fill before any label doubles up).
+/// Ignores edges entirely — this is a label-coverage fallback for cases
+/// where recursive bisection cannot populate every label, not a quality
+/// path.
+fn direct_kway_split(g: &Csr, k: usize) -> Vec<u32> {
     let mut order: Vec<usize> = (0..g.n()).collect();
     order.sort_by_key(|&u| std::cmp::Reverse((g.vwgt()[u], u)));
     let mut loads = vec![0u64; k];
+    let mut part = vec![0u32; g.n()];
     for u in order {
         let target = (0..k)
             .min_by_key(|&p| (loads[p], p))
             .expect("k >= 1 in direct split");
-        out[ids[u] as usize] = base_label + target as u32;
+        part[u] = target as u32;
         loads[target] += g.vwgt()[u];
     }
+    part
 }
 
 #[cfg(test)]
@@ -522,8 +647,7 @@ mod tests {
                 (5, 3, 1),
             ],
         );
-        let mut part = vec![0u32; g.n()];
-        direct_kway_split(&g, 2, 0, &mut part, &(0..6).collect::<Vec<_>>());
+        let mut part = direct_kway_split(&g, 2);
         let raw = edge_cut(&g, &part);
         let cut = crate::kwayref::kway_direct_refine(
             &ExecPolicy::serial(),

@@ -60,13 +60,13 @@
 //! through untouched rather than collapsing.
 
 use crate::fm::seed_covers_boundary;
+use crate::gainheap::GainHeap;
 use mlcg_graph::metrics::edge_cut;
 use mlcg_graph::{Csr, VId};
 use mlcg_par::atomic::as_atomic_u32;
 use mlcg_par::exec::HOST_GRAIN;
 use mlcg_par::{parallel_for, profile, Backend, ExecPolicy, TraceCollector};
 use std::cell::RefCell;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 /// Maximum parity-alternating parallel rounds.
@@ -739,7 +739,6 @@ struct SeqState {
     best_to: Vec<u32>,
     ext: Vec<u64>,
     gain_known: Vec<bool>,
-    version: Vec<u32>,
     locked: Vec<bool>,
 }
 
@@ -751,7 +750,6 @@ impl SeqState {
             best_to: vec![k as u32; n],
             ext: vec![0; n],
             gain_known: vec![false; n],
-            version: vec![0; n],
             locked: vec![false; n],
         }
     }
@@ -834,8 +832,8 @@ impl SeqState {
 /// connectivity-free least-loaded targets, so balance repair works from
 /// any start; a per-part vertex count guard never empties a part. Each
 /// pass records a `kwayref/pass{N}` span and a `kwayref/boundary_size`
-/// gauge; rollbacks feed `kwayref/moves_rolled_back`. Returns the final
-/// cut.
+/// gauge; its moves feed `kwayref/moves_committed` and the rolled-back
+/// ones `kwayref/moves_rolled_back`. Returns the final cut.
 fn kway_refine_boundary_traced(
     g: &Csr,
     part: &mut [u32],
@@ -866,6 +864,8 @@ fn kway_refine_boundary_traced(
 
     let mut st = SeqState::new(n, k);
     let mut sc = PartScratch::default();
+    // Holds exactly the unlocked move candidates, each at its current gain.
+    let mut heap = GainHeap::new(n);
     let mut stamp: Vec<u32> = vec![0; n];
     let mut epoch: u32 = 0;
 
@@ -907,14 +907,14 @@ fn kway_refine_boundary_traced(
         let span = trace.span(|| format!("kwayref/pass{pass}"));
         epoch += 1;
         let mut next: Vec<u32> = Vec::new();
-        let mut heap: BinaryHeap<(i64, u32, u32)> = BinaryHeap::new();
+        heap.clear();
         let mut boundary_size = 0usize;
         for &fu in &frontier {
             let u = fu as usize;
             st.build(g, part, u, k, &mut sc);
             st.locked[u] = false;
             if st.ext[u] > 0 {
-                heap.push((st.gain[u], fu, st.version[u]));
+                heap.upsert(fu, st.gain[u]);
                 boundary_size += 1;
                 if stamp[u] != epoch {
                     stamp[u] = epoch;
@@ -933,7 +933,7 @@ fn kway_refine_boundary_traced(
                     next.push(u as u32);
                     st.build(g, part, u, k, &mut sc);
                     st.locked[u] = false;
-                    heap.push((st.gain[u], u as u32, st.version[u]));
+                    heap.upsert(u as u32, st.gain[u]);
                 }
             }
         }
@@ -944,11 +944,8 @@ fn kway_refine_boundary_traced(
         let abort_limit = (2 * boundary_size).max(64);
         let mut since_best = 0usize;
 
-        while let Some((gval, uu, ver)) = heap.pop() {
+        while let Some((_, uu)) = heap.pop() {
             let u = uu as usize;
-            if st.locked[u] || ver != st.version[u] || gval != st.gain[u] {
-                continue; // stale entry
-            }
             let from = part[u];
             if counts[from as usize] <= 1 {
                 continue; // moving the last vertex would empty the part
@@ -1039,13 +1036,15 @@ fn kway_refine_boundary_traced(
                     // includes this move).
                     st.build(g, part, vi, k, &mut sc);
                 }
-                st.version[vi] += 1;
                 if st.ext[vi] > 0 {
-                    heap.push((st.gain[vi], v, st.version[vi]));
+                    heap.upsert(v, st.gain[vi]);
+                } else {
+                    heap.remove(v);
                 }
             }
         }
         // Roll back past the best prefix.
+        trace.counter_add("kwayref/moves_committed", moves.len() as u64);
         trace.counter_add("kwayref/moves_rolled_back", (moves.len() - best_len) as u64);
         for &(uu, from) in moves[best_len..].iter().rev() {
             let u = uu as usize;

@@ -12,6 +12,7 @@
 //! growing initial partitioning, and FM refinement.
 
 pub mod fm;
+mod gainheap;
 pub mod ggg;
 pub mod kway;
 pub mod kwayref;

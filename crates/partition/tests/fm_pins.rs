@@ -1,0 +1,311 @@
+//! Output pins for the FM family: FNV-1a hashes of every label vector
+//! (and reported cut) the bisection and k-way entry points produce on a
+//! fixed instance matrix.
+//!
+//! The matrix runs grid2d, an R-MAT largest component, a path and the
+//! 27-point box, each with two seeds, through `fm_bisect`,
+//! `fm_uncoarsen_frac_hybrid` (crossover `None` and `Some(1)`),
+//! `greedy_graph_growing_frac`, `fm_refine_frac_full_scan` and
+//! `kway_partition` (k = 5 and 8). Everything runs under
+//! `ExecPolicy::serial`, plus `host_with_threads(1)` for the forced
+//! crossover: one participant keeps the parallel rounds deterministic
+//! while still taking their code path (under the serial policy the
+//! crossover is ignored).
+//!
+//! The pins freeze the refiners' exact move sequences. A change that is
+//! meant to keep every partition bit-identical (a new gain container, a
+//! reorganized recursion) must leave every pin in place; a change that is
+//! meant to move outputs re-pins the cases it moves and says which. On a
+//! mismatch the test prints the whole table in the form of [`PINS`].
+
+use mlcg_coarsen::{coarsen, CoarsenOptions};
+use mlcg_graph::cc::largest_component;
+use mlcg_graph::metrics::edge_cut;
+use mlcg_graph::{generators, Csr};
+use mlcg_par::rng::Xoshiro256pp;
+use mlcg_par::{ExecPolicy, TraceCollector};
+use mlcg_partition::fm::{fm_bisect, fm_refine_frac_full_scan, fm_uncoarsen_frac_hybrid, FmConfig};
+use mlcg_partition::ggg::greedy_graph_growing_frac;
+use mlcg_partition::kway::kway_partition;
+use mlcg_partition::parref::ParRefConfig;
+
+/// FNV-1a over the labels' little-endian bytes, then the cut's.
+fn fnv(part: &[u32], cut: u64) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let bytes = part
+        .iter()
+        .flat_map(|p| p.to_le_bytes())
+        .chain(cut.to_le_bytes());
+    for b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn graphs() -> Vec<(&'static str, Csr)> {
+    vec![
+        ("grid2d-48x32", generators::grid2d(48, 32)),
+        (
+            "rmat-10",
+            largest_component(&generators::rmat(10, 8, 0.57, 0.19, 0.19, 3)).0,
+        ),
+        ("path-2048", generators::path(2048)),
+        (
+            "box27-10",
+            generators::grid3d(10, 10, 10, generators::Stencil::Box27),
+        ),
+    ]
+}
+
+const SEEDS: [u64; 2] = [1, 7];
+
+fn opts(seed: u64, trace: TraceCollector) -> CoarsenOptions {
+    CoarsenOptions {
+        seed,
+        trace,
+        ..CoarsenOptions::default()
+    }
+}
+
+/// A seeded random two-way labeling (the full-scan oracle's start).
+fn random_bisection(n: usize, seed: u64) -> Vec<u32> {
+    let mut rng = Xoshiro256pp::new(seed);
+    (0..n).map(|_| rng.next_below(2) as u32).collect()
+}
+
+/// One computed case: its name, its hash, and how many times the k-way
+/// recursion took the disconnected-side branch (0 for bisection cases).
+struct Case {
+    name: String,
+    hash: u64,
+    component_splits: u64,
+}
+
+fn compute() -> Vec<Case> {
+    let serial = ExecPolicy::serial();
+    let host1 = ExecPolicy::host_with_threads(1);
+    let fm = FmConfig::default();
+    let mut out = Vec::new();
+    let mut push = |name: String, hash: u64, component_splits: u64| {
+        out.push(Case {
+            name,
+            hash,
+            component_splits,
+        })
+    };
+    for (gname, g) in graphs() {
+        for seed in SEEDS {
+            let tag = |what: &str| format!("{what}/{gname}/s{seed}");
+            let off = || opts(seed, TraceCollector::disabled());
+
+            let r = fm_bisect(&serial, &g, &off(), &fm, seed);
+            push(tag("fm_bisect"), fnv(&r.part, r.cut), 0);
+
+            let h = coarsen(&serial, &g, &off());
+            for frac in [0.5, 0.375] {
+                for (label, policy, crossover) in [
+                    ("hybrid-none-serial", &serial, None),
+                    ("hybrid-1-serial", &serial, Some(1)),
+                    ("hybrid-1-host1", &host1, Some(1)),
+                ] {
+                    let parref = ParRefConfig {
+                        crossover_frontier: crossover,
+                        ..ParRefConfig::default()
+                    };
+                    let part = fm_uncoarsen_frac_hybrid(
+                        policy,
+                        &h,
+                        &fm,
+                        &parref,
+                        frac,
+                        seed,
+                        &TraceCollector::disabled(),
+                    );
+                    let cut = edge_cut(&g, &part);
+                    push(tag(&format!("{label}@{frac}")), fnv(&part, cut), 0);
+                }
+
+                let part = greedy_graph_growing_frac(&g, seed, frac);
+                push(tag(&format!("ggg@{frac}")), fnv(&part, 0), 0);
+
+                let mut part = random_bisection(g.n(), seed);
+                let cut = fm_refine_frac_full_scan(&g, &mut part, &fm, frac);
+                push(tag(&format!("full_scan@{frac}")), fnv(&part, cut), 0);
+            }
+
+            for k in [5usize, 8] {
+                let trace = TraceCollector::enabled();
+                let r = kway_partition(&serial, &g, k, &opts(seed, trace.clone()), &fm, seed);
+                let splits = trace.report().counter("kway/component_splits");
+                push(tag(&format!("kway{k}")), fnv(&r.part, r.cut), splits);
+            }
+        }
+    }
+    out
+}
+
+/// Pins recorded under the configurations described in the module docs,
+/// before the FM loops moved to the indexed gain heap and the k-way
+/// recursion to concurrent sides; both changes left every pin in place.
+/// The three k-way cases marked below were re-pinned afterwards, when a
+/// disconnected side's heavy components started to recurse with
+/// proportional label shares instead of each taking one label whole.
+const PINS: &[(&str, u64)] = &[
+    ("fm_bisect/grid2d-48x32/s1", 0xd79c90333339b14c),
+    ("hybrid-none-serial@0.5/grid2d-48x32/s1", 0xd79c90333339b14c),
+    ("hybrid-1-serial@0.5/grid2d-48x32/s1", 0xd79c90333339b14c),
+    ("hybrid-1-host1@0.5/grid2d-48x32/s1", 0xd79c90333339b14c),
+    ("ggg@0.5/grid2d-48x32/s1", 0x88f2a492263a41c5),
+    ("full_scan@0.5/grid2d-48x32/s1", 0x34c6ba56cf78e219),
+    (
+        "hybrid-none-serial@0.375/grid2d-48x32/s1",
+        0x1de31b755818a7a5,
+    ),
+    ("hybrid-1-serial@0.375/grid2d-48x32/s1", 0x1de31b755818a7a5),
+    ("hybrid-1-host1@0.375/grid2d-48x32/s1", 0x09499087fd0f74e4),
+    ("ggg@0.375/grid2d-48x32/s1", 0xb5e19ff5076dcbc5),
+    ("full_scan@0.375/grid2d-48x32/s1", 0x434926b73982a04a),
+    ("kway5/grid2d-48x32/s1", 0xc0ac1d779885e797),
+    ("kway8/grid2d-48x32/s1", 0x7a42fdabe0956c52),
+    ("fm_bisect/grid2d-48x32/s7", 0x04eaab900672fda5),
+    ("hybrid-none-serial@0.5/grid2d-48x32/s7", 0x04eaab900672fda5),
+    ("hybrid-1-serial@0.5/grid2d-48x32/s7", 0x04eaab900672fda5),
+    ("hybrid-1-host1@0.5/grid2d-48x32/s7", 0x04eaab900672fda5),
+    ("ggg@0.5/grid2d-48x32/s7", 0x3cec1bcb609841c5),
+    ("full_scan@0.5/grid2d-48x32/s7", 0x54583b3e6baea9e7),
+    (
+        "hybrid-none-serial@0.375/grid2d-48x32/s7",
+        0x1de31b755818a7a5,
+    ),
+    ("hybrid-1-serial@0.375/grid2d-48x32/s7", 0x1de31b755818a7a5),
+    ("hybrid-1-host1@0.375/grid2d-48x32/s7", 0x1de31b755818a7a5),
+    ("ggg@0.375/grid2d-48x32/s7", 0xfd3bfc96b601ebc5),
+    ("full_scan@0.375/grid2d-48x32/s7", 0x8d31f3e1c7de30b0),
+    ("kway5/grid2d-48x32/s7", 0x9580c096e069971c),
+    ("kway8/grid2d-48x32/s7", 0xf6d49d730acca941),
+    ("fm_bisect/rmat-10/s1", 0x7a92d6a9c7c57c9a),
+    ("hybrid-none-serial@0.5/rmat-10/s1", 0x7a92d6a9c7c57c9a),
+    ("hybrid-1-serial@0.5/rmat-10/s1", 0x7a92d6a9c7c57c9a),
+    ("hybrid-1-host1@0.5/rmat-10/s1", 0x7a92d6a9c7c57c9a),
+    ("ggg@0.5/rmat-10/s1", 0xa87f5827b60b1475),
+    ("full_scan@0.5/rmat-10/s1", 0x479c8b973e42f14c),
+    ("hybrid-none-serial@0.375/rmat-10/s1", 0xc4ce5d2b877c3d19),
+    ("hybrid-1-serial@0.375/rmat-10/s1", 0xc4ce5d2b877c3d19),
+    ("hybrid-1-host1@0.375/rmat-10/s1", 0xc4ce5d2b877c3d19),
+    ("ggg@0.375/rmat-10/s1", 0xf8766ceaffb66864),
+    ("full_scan@0.375/rmat-10/s1", 0x61b26e1168ef7639),
+    ("kway5/rmat-10/s1", 0x4e990f48adf2390b),
+    // Re-pinned for proportional labeling of disconnected sides: cut
+    // 3455 -> 3596, imbalance 1.1524 -> 1.0571.
+    ("kway8/rmat-10/s1", 0x12d08d18b31f5777),
+    ("fm_bisect/rmat-10/s7", 0x009dd8b0c5b66649),
+    ("hybrid-none-serial@0.5/rmat-10/s7", 0x009dd8b0c5b66649),
+    ("hybrid-1-serial@0.5/rmat-10/s7", 0x009dd8b0c5b66649),
+    ("hybrid-1-host1@0.5/rmat-10/s7", 0x009dd8b0c5b66649),
+    ("ggg@0.5/rmat-10/s7", 0x43a5363817569555),
+    ("full_scan@0.5/rmat-10/s7", 0xd7d8cb9b228e6d2d),
+    ("hybrid-none-serial@0.375/rmat-10/s7", 0xb294a20e3c86e90c),
+    ("hybrid-1-serial@0.375/rmat-10/s7", 0xb294a20e3c86e90c),
+    ("hybrid-1-host1@0.375/rmat-10/s7", 0xb294a20e3c86e90c),
+    ("ggg@0.375/rmat-10/s7", 0x53bc5852b6a49114),
+    ("full_scan@0.375/rmat-10/s7", 0xb1f54eef0c59658e),
+    ("kway5/rmat-10/s7", 0x4e990f48adf2390b),
+    // Re-pinned: cut 3479 -> 3580, imbalance 1.1238 -> 1.0571.
+    ("kway8/rmat-10/s7", 0x142d1055077bdd72),
+    ("fm_bisect/path-2048/s1", 0xce0ff1b3f4a8f204),
+    ("hybrid-none-serial@0.5/path-2048/s1", 0xce0ff1b3f4a8f204),
+    ("hybrid-1-serial@0.5/path-2048/s1", 0xce0ff1b3f4a8f204),
+    ("hybrid-1-host1@0.5/path-2048/s1", 0xce0ff1b3f4a8f204),
+    ("ggg@0.5/path-2048/s1", 0xa0f491cea7ef99c5),
+    ("full_scan@0.5/path-2048/s1", 0xd4a88f228b3d8cb0),
+    ("hybrid-none-serial@0.375/path-2048/s1", 0x407e01697e76dfb5),
+    ("hybrid-1-serial@0.375/path-2048/s1", 0x407e01697e76dfb5),
+    ("hybrid-1-host1@0.375/path-2048/s1", 0x407e01697e76dfb5),
+    ("ggg@0.375/path-2048/s1", 0x8bbd4621fa4451c5),
+    ("full_scan@0.375/path-2048/s1", 0xd68c4af742fea492),
+    ("kway5/path-2048/s1", 0xd7313e6a72b34420),
+    ("kway8/path-2048/s1", 0xd23d06f35e485803),
+    ("fm_bisect/path-2048/s7", 0xbe9863692f423667),
+    ("hybrid-none-serial@0.5/path-2048/s7", 0xbe9863692f423667),
+    ("hybrid-1-serial@0.5/path-2048/s7", 0xbe9863692f423667),
+    ("hybrid-1-host1@0.5/path-2048/s7", 0xbe9863692f423667),
+    ("ggg@0.5/path-2048/s7", 0xa0f491cea7ef99c5),
+    ("full_scan@0.5/path-2048/s7", 0x8cba012fa426f390),
+    ("hybrid-none-serial@0.375/path-2048/s7", 0x4f60e66961c84c66),
+    ("hybrid-1-serial@0.375/path-2048/s7", 0x4f60e66961c84c66),
+    ("hybrid-1-host1@0.375/path-2048/s7", 0x4f60e66961c84c66),
+    ("ggg@0.375/path-2048/s7", 0x8bbd4621fa4451c5),
+    ("full_scan@0.375/path-2048/s7", 0x9ee5bb89edd5a2dd),
+    ("kway5/path-2048/s7", 0xcd85f1084306ff43),
+    // Re-pinned: a side with fewer components than labels used to be
+    // split vertex by vertex; cut 543 -> 8, imbalance 1.0391 unchanged.
+    ("kway8/path-2048/s7", 0x5a02ffbd58e5f30e),
+    ("fm_bisect/box27-10/s1", 0xb3f9729a10e11c84),
+    ("hybrid-none-serial@0.5/box27-10/s1", 0xb3f9729a10e11c84),
+    ("hybrid-1-serial@0.5/box27-10/s1", 0xb3f9729a10e11c84),
+    ("hybrid-1-host1@0.5/box27-10/s1", 0xb3f9729a10e11c84),
+    ("ggg@0.5/box27-10/s1", 0x253342ff9efd34f5),
+    ("full_scan@0.5/box27-10/s1", 0x0ac382cdb419b884),
+    ("hybrid-none-serial@0.375/box27-10/s1", 0xc89ff397b6a0bc0d),
+    ("hybrid-1-serial@0.375/box27-10/s1", 0xc89ff397b6a0bc0d),
+    ("hybrid-1-host1@0.375/box27-10/s1", 0x718c6d7143cf9b4e),
+    ("ggg@0.375/box27-10/s1", 0x46f6f7aad0805934),
+    ("full_scan@0.375/box27-10/s1", 0x06faeedde8380098),
+    ("kway5/box27-10/s1", 0x3fe59a0c600ead93),
+    ("kway8/box27-10/s1", 0x649c40bc268c8011),
+    ("fm_bisect/box27-10/s7", 0x482543001def2524),
+    ("hybrid-none-serial@0.5/box27-10/s7", 0x482543001def2524),
+    ("hybrid-1-serial@0.5/box27-10/s7", 0x482543001def2524),
+    ("hybrid-1-host1@0.5/box27-10/s7", 0xb3f9729a10e11c84),
+    ("ggg@0.5/box27-10/s7", 0xdc3a08fd3e7a4e15),
+    ("full_scan@0.5/box27-10/s7", 0x482543001def2524),
+    ("hybrid-none-serial@0.375/box27-10/s7", 0x65a78319b6b7187e),
+    ("hybrid-1-serial@0.375/box27-10/s7", 0x65a78319b6b7187e),
+    ("hybrid-1-host1@0.375/box27-10/s7", 0x547b2c25041ffbb3),
+    ("ggg@0.375/box27-10/s7", 0x153d330ebff0e0e4),
+    ("full_scan@0.375/box27-10/s7", 0xf0546ec474065ce1),
+    ("kway5/box27-10/s7", 0x4b999bbe27b3b56a),
+    ("kway8/box27-10/s7", 0xaeb9b9b9f256cbd1),
+];
+
+/// The k-way cases whose recursion reaches a disconnected side (counted
+/// by `kway/component_splits`). The two k = 5 cases kept their pins
+/// under the new labeling of disconnected sides.
+const COMPONENT_SPLIT_CASES: &[&str] = &[
+    "kway5/rmat-10/s1",
+    "kway8/rmat-10/s1",
+    "kway5/rmat-10/s7",
+    "kway8/rmat-10/s7",
+    "kway8/path-2048/s7",
+];
+
+#[test]
+fn fm_family_outputs_match_their_pins() {
+    let cases = compute();
+    let table: String = cases
+        .iter()
+        .map(|c| format!("    (\"{}\", {:#018x}),\n", c.name, c.hash))
+        .collect();
+    let splits: Vec<&str> = cases
+        .iter()
+        .filter(|c| c.component_splits > 0)
+        .map(|c| c.name.as_str())
+        .collect();
+    let mismatched: Vec<&str> = cases
+        .iter()
+        .filter(|c| !PINS.contains(&(c.name.as_str(), c.hash)))
+        .map(|c| c.name.as_str())
+        .collect();
+    assert!(
+        mismatched.is_empty() && cases.len() == PINS.len(),
+        "{} of {} cases moved off their pins: {mismatched:?}\n\
+         computed table:\n{table}component splits: {splits:?}",
+        mismatched.len(),
+        cases.len()
+    );
+    assert_eq!(
+        splits, COMPONENT_SPLIT_CASES,
+        "the disconnected-side branch fired on a different case set"
+    );
+}

@@ -8,9 +8,12 @@
 //! than the recursive-bisection entry, and a direct-refined cut at or
 //! below the recursive-only cut. A proplite-randomized test stresses the
 //! refiner alone from arbitrary (unbalanced) labelings, and dedicated
-//! tests pin cross-policy determinism and crossover engagement.
+//! tests pin cross-policy determinism and crossover engagement, the
+//! recursion's concurrent sides, the balance envelope on inputs with a
+//! giant component plus stray ones, and the FM move counters.
 
-use mlcg_coarsen::CoarsenOptions;
+use mlcg_coarsen::{CoarsenOptions, MapMethod};
+use mlcg_graph::builder::from_edges_unit;
 use mlcg_graph::cc::largest_component;
 use mlcg_graph::metrics::edge_cut;
 use mlcg_graph::{generators, Csr};
@@ -18,7 +21,7 @@ use mlcg_par::proplite::run_cases;
 use mlcg_par::{ExecPolicy, TraceCollector};
 use mlcg_partition::fm::FmConfig;
 use mlcg_partition::kway::{
-    kway_empty_parts, kway_imbalance, kway_partition_cfg, KwayConfig, KwayResult,
+    kway_empty_parts, kway_imbalance, kway_partition, kway_partition_cfg, KwayConfig, KwayResult,
 };
 use mlcg_partition::kwayref::{kway_direct_refine, KwayRefineConfig};
 
@@ -288,4 +291,170 @@ fn crossover_runs_kway_rounds_under_a_parallel_policy() {
         0,
         "serial policy must not take the parallel path"
     );
+}
+
+/// FNV-1a over the labels' little-endian bytes, then the cut's.
+fn fnv(part: &[u32], cut: u64) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in part
+        .iter()
+        .flat_map(|p| p.to_le_bytes())
+        .chain(cut.to_le_bytes())
+    {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn concurrent_recursion_is_well_formed_under_every_policy() {
+    // Under a parallel policy the recursion's two sides run as one
+    // two-task dispatch (grain 16 makes every side large enough); each
+    // side fills its own labels and the parent scatters them. Whatever
+    // the schedule, the labeling must be complete and the cut exact;
+    // under the serial policy the sides run in order and the output is
+    // pinned.
+    let g = generators::grid2d(32, 32);
+    // Recorded before the sides ran concurrently.
+    let pins = [
+        (5usize, 0x3c1a_9534_4688_acab_u64),
+        (8, 0x2eeb_1e30_c432_4783),
+    ];
+    for (k, pin) in pins {
+        for policy in ExecPolicy::all_test_policies() {
+            let opts = CoarsenOptions {
+                trace: TraceCollector::disabled(),
+                ..CoarsenOptions::default()
+            };
+            let r = kway_partition(&policy, &g, k, &opts, &FmConfig::default(), 9);
+            let ctx = format!("k={k} {policy}");
+            assert!(
+                r.part.iter().all(|&p| (p as usize) < k),
+                "{ctx}: label out of range"
+            );
+            assert_eq!(kway_empty_parts(&r.part, k), 0, "{ctx}: empty part");
+            assert_eq!(r.cut, edge_cut(&g, &r.part), "{ctx}: reported cut drifted");
+            if policy.backend == mlcg_par::Backend::Serial {
+                assert_eq!(
+                    fnv(&r.part, r.cut),
+                    pin,
+                    "{ctx}: serial output moved off its pin ({:#018x})",
+                    fnv(&r.part, r.cut)
+                );
+            }
+        }
+    }
+}
+
+/// A `w × h` grid (the giant) plus `strays` separate paths of two to four
+/// vertices.
+fn giant_plus_strays(w: usize, h: usize, strays: usize) -> Csr {
+    let giant = generators::grid2d(w, h);
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    for u in 0..giant.n() as u32 {
+        edges.extend(
+            giant
+                .neighbors(u)
+                .iter()
+                .filter(|&&v| u < v)
+                .map(|&v| (u, v)),
+        );
+    }
+    let mut n = giant.n() as u32;
+    for s in 0..strays as u32 {
+        let len = 2 + s % 3;
+        edges.extend((n..n + len - 1).map(|u| (u, u + 1)));
+        n += len;
+    }
+    from_edges_unit(n as usize, &edges)
+}
+
+#[test]
+fn giant_plus_strays_stays_in_the_epsilon_envelope() {
+    // Bisecting a graph made of one big component and a few small ones
+    // leaves the small ones as stray components of a side. The side's
+    // giant must then recurse with a proportional share of the labels;
+    // giving each component a whole label instead left the giant in one
+    // label, at an imbalance near k/2 (up to 4.0 at k = 8 on this family).
+    //
+    // The envelope: each of the ⌈log2 k⌉ bisection levels may overshoot
+    // its target by the FM epsilon plus one vertex of rounding, and
+    // packing a whole stray into the lightest label overshoots by at most
+    // that stray's weight. HEM coarsens these inputs: HEC requires every
+    // vertex to have a neighbor, which a collapsed stray loses.
+    let eps = FmConfig::default().epsilon;
+    let mut component_splits = 0;
+    for (w, h) in [(16usize, 12usize), (24, 20)] {
+        for strays in [1usize, 3, 6, 12] {
+            let g = giant_plus_strays(w, h, strays);
+            let total = g.total_vwgt() as f64;
+            let max_stray = 4.0;
+            for k in [3usize, 4, 5, 8] {
+                let levels = k.next_power_of_two().trailing_zeros() as i32;
+                let bound =
+                    (1.0 + eps).powi(levels) + k as f64 * (f64::from(levels) + max_stray) / total;
+                for seed in [1u64, 2] {
+                    for policy in ExecPolicy::all_test_policies() {
+                        let trace = TraceCollector::enabled();
+                        let opts = CoarsenOptions {
+                            method: MapMethod::Hem,
+                            seed,
+                            trace: trace.clone(),
+                            ..CoarsenOptions::default()
+                        };
+                        let r = kway_partition(&policy, &g, k, &opts, &FmConfig::default(), seed);
+                        let ctx =
+                            format!("grid {w}x{h} + {strays} strays, k={k} seed={seed} {policy}");
+                        assert_eq!(kway_empty_parts(&r.part, k), 0, "{ctx}: empty part");
+                        assert_eq!(r.cut, edge_cut(&g, &r.part), "{ctx}: reported cut drifted");
+                        assert!(
+                            r.imbalance <= bound,
+                            "{ctx}: imbalance {} outside the envelope {bound}",
+                            r.imbalance
+                        );
+                        component_splits += trace.report().counter("kway/component_splits");
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        component_splits > 0,
+        "the family never reached a disconnected side"
+    );
+}
+
+#[test]
+fn fm_counts_committed_and_rolled_back_moves() {
+    // Every FM pass commits moves past its best prefix and rolls them
+    // back; both counts are recorded for the bisection FM and the k-way
+    // post-pass, and no pass can roll back more than it committed.
+    let g = generators::grid2d(32, 32);
+    let trace = TraceCollector::enabled();
+    let opts = CoarsenOptions {
+        trace: trace.clone(),
+        ..CoarsenOptions::default()
+    };
+    kway_partition_cfg(
+        &ExecPolicy::serial(),
+        &g,
+        2,
+        &opts,
+        &FmConfig::default(),
+        &KwayConfig::default(),
+        3,
+        &trace,
+    );
+    let report = trace.report();
+    for layer in ["fm", "kwayref"] {
+        let committed = report.counter(&format!("{layer}/moves_committed"));
+        let rolled_back = report.counter(&format!("{layer}/moves_rolled_back"));
+        assert!(committed > 0, "{layer}: no committed moves recorded");
+        assert!(rolled_back > 0, "{layer}: no rolled-back moves recorded");
+        assert!(
+            committed >= rolled_back,
+            "{layer}: rolled back {rolled_back} of only {committed} committed moves"
+        );
+    }
 }
