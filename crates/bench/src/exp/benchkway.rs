@@ -7,9 +7,11 @@
 //!   seconds are the whole partition (coarsen + bisect cascade), the
 //!   quantity the post-pass rides on top of;
 //! * `direct_refine` — the direct k-way post-pass
-//!   ([`kway_direct_refine`]) applied to a clone of the last recursive
-//!   labeling; its recorded seconds are the refinement alone, so the
-//!   gate tracks the marginal cost of seeing all k labels jointly.
+//!   ([`kway_direct_refine`]: the frontier round engine shared with
+//!   bisection, then the sequential k-way FM) applied to a clone of the
+//!   last recursive labeling; its recorded seconds are the refinement
+//!   alone, so the gate tracks the marginal cost of seeing all k labels
+//!   jointly.
 //!
 //! Records cut, imbalance and median seconds in
 //! `target/repro/BENCH_kway.json`. With `--trace`, the traced refinement

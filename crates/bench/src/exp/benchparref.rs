@@ -6,9 +6,10 @@
 //! * `seq_boundary` — the sequential boundary-driven FM driver
 //!   ([`fm_uncoarsen_frac_traced`] under the serial policy);
 //! * `par_coarse` — the hybrid driver ([`fm_uncoarsen_frac_hybrid`]):
-//!   frontier-based parallel refinement rounds on every level whose
-//!   projected frontier crosses the crossover threshold, sequential
-//!   boundary FM polish below it and after the rounds.
+//!   the frontier round engine (parallel gain, sequential claim, parallel
+//!   apply) on every level whose projected frontier crosses the crossover
+//!   threshold, sequential boundary FM polish below it and after the
+//!   rounds.
 //!
 //! Records the cut and refinement-only seconds of both in
 //! `target/repro/BENCH_parref.json`. With `--trace`, the traced hybrid run
@@ -21,11 +22,10 @@ use mlcg_coarsen::{coarsen, CoarsenOptions};
 use mlcg_graph::metrics::edge_cut;
 use mlcg_par::ExecPolicy;
 use mlcg_partition::fm::{fm_uncoarsen_frac_hybrid, fm_uncoarsen_frac_traced, FmConfig};
-use mlcg_partition::parref::ParRefConfig;
 
 /// Forced crossover threshold for the `par_coarse` variant in `--quick`
-/// mode. The [`ParRefConfig`] default ties the threshold to
-/// `HOST_GRAIN × workers`, which on the quick suite's small graphs
+/// mode. The default crossover (`mlcg_partition::parref::default_crossover`)
+/// is `HOST_GRAIN × workers`, which on the quick suite's small graphs
 /// disables the parallel engine entirely — correct for production,
 /// useless for tracking this code path in the CI gate. Quick mode pins
 /// a low threshold so the rounds genuinely run on any host; the gate
@@ -71,11 +71,6 @@ pub fn run(ctx: &Ctx) -> i32 {
     let serial = ExecPolicy::serial();
     let cfg = FmConfig::default();
     let crossover = crossover(ctx);
-    let parref = ParRefConfig {
-        epsilon: cfg.epsilon,
-        crossover_frontier: Some(crossover),
-        ..ParRefConfig::default()
-    };
     let mut bench =
         Bench::new(ctx, "bench-parref", ctx.host()).param("crossover_frontier", crossover);
     for sg in graphs(ctx, QUICK, FULL) {
@@ -90,7 +85,7 @@ pub fn run(ctx: &Ctx) -> i32 {
         );
         bench.variant(
             "par_coarse",
-            |p, trace| fm_uncoarsen_frac_hybrid(p, &h, &cfg, &parref, 0.5, ctx.seed, trace),
+            |p, trace| fm_uncoarsen_frac_hybrid(p, &h, &cfg, Some(crossover), 0.5, ctx.seed, trace),
             cut,
         );
     }

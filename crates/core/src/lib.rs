@@ -9,7 +9,7 @@
 //!
 //! | Method | Paper reference | Notes |
 //! |---|---|---|
-//! | [`MapMethod::Hec`] | Algorithm 4 | lock-free multi-pass CAS parallelization of Heavy Edge Coarsening |
+//! | [`MapMethod::Hec`] | Algorithm 4 | parallel Heavy Edge Coarsening by deterministic reservations (same labels under every policy) |
 //! | [`MapMethod::Hec2`] | Algorithm 9 (ext. report) | race-free two-array variant, no 2-cycle collapse |
 //! | [`MapMethod::Hec3`] | Algorithm 5 | pseudoforest view: root marking + pointer jumping |
 //! | [`MapMethod::Hem`] | Algorithm 10 (ext.) | multi-pass heavy-edge *matching*, H recomputed per pass |

@@ -150,9 +150,11 @@ pub fn gosh_hec(
         let base = ws.heavy.as_mut_ptr() as usize;
         parallel_for(policy, n, move |u| {
             let du = g.degree(u as VId);
+            // A vertex with no neighbor points at itself and aggregates
+            // alone (a self-loop roots its HEC3 pseudotree).
             let pick = heavy_neighbor_where(g, u as VId, |v| !(du > tau && g.degree(v) > tau))
                 .or_else(|| heavy_neighbor_where(g, u as VId, |_| true))
-                .expect("connected graph has a neighbor");
+                .unwrap_or(u as VId);
             // SAFETY: disjoint writes per index.
             unsafe {
                 (base as *mut u32).add(u).write(pick);

@@ -1,39 +1,64 @@
-//! Lock-free parallelization of Heavy Edge Coarsening — the paper's
-//! Algorithm 4.
+//! Parallel Heavy Edge Coarsening — the paper's Algorithm 4, resolved by
+//! deterministic reservations so that every execution policy returns the
+//! labels of the one-worker sweep.
 //!
-//! Threads sweep the heavy-edge set `⟨u, H[u]⟩` in a random order `P`,
-//! claiming endpoints with atomic compare-and-swap on the ownership array
-//! `C`:
+//! Algorithm 4 sweeps the heavy-edge set `⟨u, H[u]⟩` in a random order `P`
+//! and settles each vertex `u` with `v = H[u]` as one of:
 //!
-//! - *create* edge — both `C[u]` and `C[v]` won: a fresh coarse id is
-//!   allocated for the pair;
-//! - *skip* edge — `C[u]` was already taken: another thread is creating
-//!   `u`'s aggregate, nothing to do;
-//! - *inherit* edge — `C[v]` was taken and `M[v]` already set: `u` joins
-//!   `v`'s aggregate. If `M[v]` is not yet visible, the thread releases
-//!   `C[u]` and re-queues `u` for the next pass.
+//! - *create* edge — `u` and `v` are both unmapped: a fresh coarse vertex
+//!   for the pair;
+//! - *skip* edge — `u` was already absorbed by an earlier create;
+//! - *inherit* edge — `v` is mapped: `u` joins `v`'s aggregate.
 //!
-//! The extra vertex-identifier check before the first CAS (mentioned below
-//! Algorithm 4 in the paper) defers the larger endpoint of a *mutual* heavy
-//! pair, preventing the symmetric claim/claim deadlock. Unresolved vertices
-//! are gathered into `R` and the loop repeats; the paper reports ≥99 % of
-//! vertices settle within two passes, a statistic [`MapStats`] reproduces.
+//! The vertex-identifier check mentioned below Algorithm 4 in the paper
+//! defers the larger endpoint of a *mutual* heavy pair while its partner
+//! is unmapped; the partner creates the pair later in the sweep, and a
+//! deferred vertex that no later vertex claimed joins its partner's
+//! aggregate in a last pass.
+//!
+//! The paper claims endpoints with compare-and-swap on an ownership array,
+//! so which claim wins, and with it the coarse graph, depends on the
+//! thread schedule. Here the pending vertices instead run in rounds of
+//! deterministic reservations. Each one write-mins its position in `P`
+//! into reservation slots for `u` and, while `v` is unmapped, for `v`;
+//! then each one commits only if it holds the slots it took. A held slot
+//! means no earlier pending vertex can still change that endpoint, so `u`
+//! acts on exactly the state the sequential sweep would show it. An
+//! inherit needs only `u`'s slot, because a label is final once set; and
+//! when an earlier vertex maps `v` in the same pass, `u` works out that
+//! label and inherits it at once, so hub leaves do not wait a round for
+//! their hub. Coarse ids are the `P` positions of each aggregate's
+//! creator, compacted by the relabel: creation order, as with the paper's
+//! atomic counter.
+//!
+//! The pending vertex earliest in `P` always commits, so every round
+//! settles at least one. Once the pending list is too short to run on
+//! more than one worker, the sweep itself finishes it in `P` order; under
+//! the serial policy that is the whole run. [`MapStats`] counts each round,
+//! and the closing sweep, as a pass.
 
-use super::util::{heavy_neighbors, relabel};
+use super::util::{heavy_neighbors, prepare_premark, relabel_premarked};
 use super::workspace::MapWorkspace;
 use super::{MapStats, Mapping, UNMAPPED};
 use mlcg_graph::Csr;
 use mlcg_par::atomic::as_atomic_u32;
 use mlcg_par::filter::filter_indices_in;
 use mlcg_par::perm::random_permutation_in;
-use mlcg_par::{parallel_for, profile, ExecPolicy};
-use std::sync::atomic::{AtomicU32, Ordering};
+use mlcg_par::{parallel_for, pool, profile, ExecPolicy};
+use std::sync::atomic::Ordering::Relaxed;
 
-/// Ownership sentinel: `C[u] = FREE` means unclaimed.
+/// Reservation sentinel: `S[x] = FREE` means no pending vertex reserved
+/// `x` this round.
 const FREE: u32 = u32::MAX;
 
-/// Run parallel HEC through a level-reused workspace. Requires a
-/// connected graph with `n ≥ 1`.
+/// Label of a vertex deferred behind its smaller mutual partner. It stays
+/// claimable (labels `≥ DEFERRED` count as unmapped) and joins the
+/// partner's aggregate in the last pass.
+const DEFERRED: u32 = u32::MAX - 1;
+
+/// Run parallel HEC through a level-reused workspace. A vertex with no
+/// neighbor becomes a singleton aggregate. The result depends only on the
+/// graph and `seed`, not on the policy.
 pub fn hec(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
     let n = g.n();
     if n <= 1 {
@@ -45,100 +70,157 @@ pub fn hec(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (M
             MapStats::default(),
         );
     }
+    assert!(n < DEFERRED as usize, "HEC: n exceeds the label range");
     heavy_neighbors(policy, g, &mut ws.heavy);
-    debug_assert!(
-        ws.heavy.iter().all(|&x| x != UNMAPPED),
-        "graph must have no isolated vertices"
-    );
+    random_permutation_in(policy, n, seed, &mut ws.perm_keys, &mut ws.queue);
+    // Pending vertices are kept as their positions in P, in order.
+    ws.pos.clear();
+    ws.pos.extend(0..n as u32);
 
     let mut m = vec![UNMAPPED; n];
-    MapWorkspace::filled(&mut ws.own, n, FREE);
-    let next_id = AtomicU32::new(0);
     let mut stats = MapStats::default();
-
-    random_permutation_in(policy, n, seed, &mut ws.perm_keys, &mut ws.queue);
-    // The pass loop of Algorithm 4 (line 29). Termination: every pass
-    // resolves at least the smaller endpoint of the heaviest pending mutual
-    // pair; the cap is a defensive bound never reached in practice.
-    let max_passes = 64 + 2 * n;
-    while !ws.queue.is_empty() && stats.passes < max_passes {
-        let before = ws.queue.len();
+    // Rounds pay off only while the pending list is long enough to run on
+    // several workers; one worker finishes the rest with the sweep itself.
+    while policy.effective_threads(ws.pos.len()) > 1 && !pool::in_worker() {
+        let before = ws.pos.len();
+        // Releasing every slot is one memset, cheaper than revisiting the
+        // previous round's scattered reservations.
+        MapWorkspace::filled(&mut ws.own, n, FREE);
         {
             let _k = profile::kernel("hec_match");
+            // Relaxed is enough: the reserve pass only write-mins slots,
+            // whose final values are read in the next pass; the commit
+            // pass reads no slot or label another thread writes in it;
+            // and the join at the end of each pass orders its writes
+            // before the next pass.
             let m_at = as_atomic_u32(&mut m);
-            let c_at = as_atomic_u32(&mut ws.own);
-            let h_ref = &ws.heavy;
-            let q_ref = &ws.queue;
-            let next = &next_id;
-            parallel_for(policy, q_ref.len(), move |i| {
-                let u = q_ref[i];
-                let v = h_ref[u as usize];
-                if m_at[u as usize].load(Ordering::Acquire) != UNMAPPED {
-                    return;
+            let s_at = as_atomic_u32(&mut ws.own);
+            let (h, order, pending) = (&ws.heavy[..], &ws.queue[..], &ws.pos[..]);
+            let reserve = |x: usize, p: u32| {
+                if s_at[x].load(Relaxed) > p {
+                    s_at[x].fetch_min(p, Relaxed);
                 }
-                // Deadlock-avoidance id check for mutual heavy pairs: while
-                // both endpoints are unmapped, only the smaller one drives
-                // the two-sided claim. Once v is mapped (possibly absorbed
-                // by a third vertex), u must fall through and inherit.
-                if h_ref[v as usize] == u
-                    && v < u
-                    && m_at[v as usize].load(Ordering::Acquire) == UNMAPPED
-                {
-                    return; // the (v, u) orientation will create the pair
+            };
+            parallel_for(policy, pending.len(), |i| {
+                let p = pending[i];
+                let u = order[p as usize] as usize;
+                if m_at[u].load(Relaxed) < DEFERRED {
+                    return; // skip edge: absorbed by an earlier create
                 }
-                if c_at[u as usize].load(Ordering::Relaxed) != FREE {
-                    return; // skip edge: another thread owns u
-                }
-                if c_at[u as usize]
-                    .compare_exchange(FREE, v, Ordering::AcqRel, Ordering::Acquire)
-                    .is_err()
-                {
-                    return; // skip edge (lost the race for u)
-                }
-                if c_at[v as usize]
-                    .compare_exchange(FREE, u, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    // Create edge: a fresh coarse vertex for {u, v}.
-                    let id = next.fetch_add(1, Ordering::Relaxed);
-                    m_at[v as usize].store(id, Ordering::Release);
-                    m_at[u as usize].store(id, Ordering::Release);
-                } else {
-                    let mv = m_at[v as usize].load(Ordering::Acquire);
-                    if mv != UNMAPPED {
-                        // Inherit edge: u joins v's aggregate.
-                        m_at[u as usize].store(mv, Ordering::Release);
-                    } else {
-                        // v is mid-creation elsewhere; release u and retry
-                        // in the next pass.
-                        c_at[u as usize].store(FREE, Ordering::Release);
-                    }
+                let v = h[u] as usize;
+                reserve(u, p);
+                if v != u && m_at[v].load(Relaxed) >= DEFERRED {
+                    reserve(v, p);
                 }
             });
+            // The label that x, at position p and holding S[x], commits in
+            // the pass below without looking further than y = H[x]. It is
+            // judged from slots and round-start labels alone: nobody
+            // writes m[y] while S[y] is FREE, and any other write to m[y]
+            // in that pass comes from the holder of S[y].
+            let settle = |x: usize, p: u32| -> Option<u32> {
+                let y = h[x] as usize;
+                if y == x {
+                    return Some(p); // no neighbor: a singleton aggregate
+                }
+                match s_at[y].load(Relaxed) {
+                    // Nobody reserved y, so it was mapped at round start:
+                    // inherit edge.
+                    FREE => Some(m_at[y].load(Relaxed)),
+                    // Deadlock-avoidance id check: the smaller endpoint of
+                    // an unmapped mutual pair creates it.
+                    s if s == p && h[y] as usize == x && y < x => Some(DEFERRED),
+                    s if s == p => Some(p), // create edge
+                    _ => None,              // an earlier vertex may still map y
+                }
+            };
+            parallel_for(policy, pending.len(), |i| {
+                let p = pending[i];
+                let u = order[p as usize] as usize;
+                if s_at[u].load(Relaxed) != p {
+                    return; // absorbed at round start, or an earlier vertex may absorb u
+                }
+                let v = h[u] as usize;
+                let label = match settle(u, p) {
+                    Some(l) => l,
+                    None => {
+                        // The earlier vertex w holding S[v] maps v in this
+                        // pass if it holds its own slot and settles: then
+                        // u inherits v's new label.
+                        let s = s_at[v].load(Relaxed);
+                        let w = order[s as usize] as usize;
+                        if s_at[w].load(Relaxed) != s {
+                            return;
+                        }
+                        match settle(w, s) {
+                            Some(l) if l < DEFERRED => l,
+                            _ => return,
+                        }
+                    }
+                };
+                if label == p && v != u {
+                    m_at[v].store(p, Relaxed); // a fresh coarse vertex for {u, v}
+                }
+                m_at[u].store(label, Relaxed);
+            });
         }
-        // Parallel, order-stable requeue of the unresolved (bit-identical
-        // to the old sequential `retain`).
+        let order = &ws.queue;
         filter_indices_in(
             policy,
-            &ws.queue,
-            |u| m[u as usize] == UNMAPPED,
+            &ws.pos,
+            |p| m[order[p as usize] as usize] == UNMAPPED,
             &mut ws.fcounts,
             &mut ws.qscratch,
         );
-        std::mem::swap(&mut ws.queue, &mut ws.qscratch);
+        std::mem::swap(&mut ws.pos, &mut ws.qscratch);
+        debug_assert!(ws.pos.len() < before, "the earliest pending vertex commits");
         stats.passes += 1;
-        stats.record_resolved(before - ws.queue.len());
+        stats.record_resolved(before - ws.pos.len());
     }
-    assert!(
-        ws.queue.is_empty(),
-        "HEC failed to converge within {max_passes} passes"
-    );
+    if !ws.pos.is_empty() {
+        let (h, order) = (&ws.heavy, &ws.queue);
+        for &p in &ws.pos {
+            let u = order[p as usize] as usize;
+            let v = h[u] as usize;
+            if m[u] != UNMAPPED {
+                continue;
+            }
+            m[u] = if v == u {
+                p
+            } else if m[v] < DEFERRED {
+                m[v]
+            } else if h[v] as usize == u && v < u {
+                DEFERRED
+            } else {
+                m[v] = p;
+                p
+            };
+        }
+        stats.passes += 1;
+        stats.record_resolved(ws.pos.len());
+    }
 
-    let n_coarse = next_id.load(Ordering::Relaxed) as usize;
-    // Labels are already contiguous (atomic counter), but relabel defends
-    // against the (unobserved) case of allocated-but-unused ids.
-    debug_assert!(m.iter().all(|&x| (x as usize) < n_coarse));
-    let mapping = relabel(policy, m, ws);
+    // Last pass: a deferred vertex joins its partner (never deferred
+    // itself), with the relabel flag-mark fused in.
+    prepare_premark(ws, n);
+    {
+        let m_at = as_atomic_u32(&mut m);
+        let flag_base = ws.flag.as_mut_ptr() as usize;
+        let h = &ws.heavy;
+        parallel_for(policy, n, move |u| {
+            let mut l = m_at[u].load(Relaxed);
+            if l == DEFERRED {
+                l = m_at[h[u] as usize].load(Relaxed);
+                m_at[u].store(l, Relaxed);
+            }
+            // SAFETY: flag writes are idempotent (racing threads all
+            // write 1).
+            unsafe {
+                (flag_base as *mut u32).add(l as usize).write(1);
+            }
+        });
+    }
+    let mapping = relabel_premarked(policy, m, ws);
     (mapping, stats)
 }
 
@@ -213,20 +295,50 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// The one-worker sweep of Algorithm 4, written out sequentially:
+    /// visit `P` once, deferring the larger endpoint of an unmapped mutual
+    /// pair, then let each deferred vertex nobody claimed join its partner.
+    fn sequential_sweep(g: &Csr, seed: u64) -> Vec<u32> {
+        let serial = ExecPolicy::serial();
+        let mut h = Vec::new();
+        heavy_neighbors(&serial, g, &mut h);
+        let mut m = vec![UNMAPPED; g.n()];
+        let mut next = 0;
+        for u in mlcg_par::perm::random_permutation(&serial, g.n(), seed) {
+            let (u, v) = (u as usize, h[u as usize] as usize);
+            if m[u] != UNMAPPED {
+                continue;
+            }
+            if m[v] != UNMAPPED {
+                m[u] = m[v];
+            } else if !(v != u && h[v] as usize == u && v < u) {
+                m[u] = next;
+                m[v] = next;
+                next += 1;
+            }
+        }
+        for u in 0..g.n() {
+            if m[u] == UNMAPPED {
+                m[u] = m[h[u] as usize];
+            }
+        }
+        m
+    }
+
     #[test]
-    fn parallel_policies_produce_valid_mappings_with_similar_ratio() {
-        let g = gen::grid2d(40, 40);
-        let (serial, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hec, 5);
-        for policy in ExecPolicy::all_test_policies() {
-            let (m, _) = find_mapping(&policy, &g, MapMethod::Hec, 5);
-            m.validate().unwrap();
-            let r = m.coarsening_ratio() / serial.coarsening_ratio();
-            assert!(
-                (0.5..=2.0).contains(&r),
-                "policy {policy} ratio {} vs serial {}",
-                m.coarsening_ratio(),
-                serial.coarsening_ratio()
-            );
+    fn every_policy_returns_the_sequential_sweep() {
+        let (rmat, _) = mlcg_graph::cc::largest_component(&gen::rmat(10, 8, 0.57, 0.19, 0.19, 4));
+        let mut graphs = testkit::battery();
+        graphs.push(("rmat-10", rmat));
+        graphs.push(("grid-40x40", gen::grid2d(40, 40)));
+        for (name, g) in &graphs {
+            for seed in [5, 6, 7] {
+                let want = sequential_sweep(g, seed);
+                for policy in ExecPolicy::all_test_policies() {
+                    let (m, _) = find_mapping(&policy, g, MapMethod::Hec, seed);
+                    assert_eq!(m.map, want, "{name}/seed{seed} under {policy}");
+                }
+            }
         }
     }
 

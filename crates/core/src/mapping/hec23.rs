@@ -16,7 +16,9 @@
 //!
 //! Root/representative selection is randomized through the permutation `P`
 //! (mutual pairs keep the endpoint that appears *earlier* in `P`), matching
-//! the `O[·]` indirection in the paper's pseudocode.
+//! the `O[·]` indirection in the paper's pseudocode. A vertex with no
+//! neighbor is its own heavy target (`H[u] = u`), so both variants make it
+//! a singleton aggregate.
 //!
 //! Both variants end with a full sweep that writes every final raw label,
 //! so the relabel flag-mark pass is *fused* into that sweep (an idempotent

@@ -72,13 +72,13 @@ impl Mapping {
 /// Per-run statistics recorded by the mapping algorithms.
 #[derive(Clone, Debug, Default)]
 pub struct MapStats {
-    /// Passes executed (Algorithm 4 loops until the work queue drains).
+    /// Passes executed (HEC: its reservation rounds plus the closing
+    /// sequential sweep, if one ran).
     pub passes: usize,
     /// Vertices resolved in each of the first
-    /// [`MapStats::RESOLVED_PASS_CAP`] passes (HEC-family only). The pass
-    /// loop is bounded only defensively (`64 + 2n`), so the vector is
-    /// capacity-bounded; later passes accumulate into
-    /// [`MapStats::resolved_overflow`].
+    /// [`MapStats::RESOLVED_PASS_CAP`] passes (HEC-family only). A pass
+    /// loop may run up to `n` passes, so the vector is capacity-bounded;
+    /// later passes accumulate into [`MapStats::resolved_overflow`].
     pub resolved_per_pass: Vec<usize>,
     /// Vertices resolved in passes beyond the per-pass cap.
     pub resolved_overflow: usize,
@@ -109,7 +109,8 @@ impl MapStats {
 /// paper references.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MapMethod {
-    /// Lock-free parallel Heavy Edge Coarsening (Algorithm 4).
+    /// Parallel Heavy Edge Coarsening (Algorithm 4), resolved by
+    /// deterministic reservations: the same labels under every policy.
     Hec,
     /// Two-array race-free HEC variant (HEC2).
     Hec2,
@@ -181,10 +182,13 @@ impl MapMethod {
     }
 }
 
-/// Run the selected mapping algorithm on a connected weighted graph.
+/// Run the selected mapping algorithm on a weighted graph. A vertex with no
+/// neighbor always maps to an aggregate of its own.
 ///
 /// The randomized visit order is derived from `seed`; results are
-/// deterministic for the serial policy and a fixed seed, and vary only in
+/// deterministic for the serial policy and a fixed seed. HEC, HEC3,
+/// GOSH-HEC, MIS-2, Suitor and the sequential references return the same
+/// labels under every policy; HEC2, HEM, mt-Metis and GOSH vary in
 /// tie-resolution order under parallel policies.
 ///
 /// ```
@@ -261,6 +265,13 @@ pub(crate) mod testkit {
                 g
             }),
             ("two-vertex", gen::path(2)),
+            // Isolated vertices and a 2-vertex component next to a path:
+            // every method must give a vertex with no neighbor an
+            // aggregate of its own.
+            (
+                "strays",
+                mlcg_graph::builder::from_edges_unit(9, &[(0, 1), (1, 2), (2, 3), (3, 4), (6, 7)]),
+            ),
         ]
     }
 

@@ -49,8 +49,8 @@ pub fn seq_hem(g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats)
 
 /// Sequential Heavy Edge Coarsening (Algorithm 3): visit vertices in random
 /// order; an unmapped vertex joins its heaviest neighbor's aggregate,
-/// creating it if the neighbor is also unmapped. Requires a connected graph
-/// (every vertex has a heaviest neighbor). Runs through a level-reused
+/// creating it if the neighbor is also unmapped; a vertex with no neighbor
+/// becomes a singleton aggregate. Runs through a level-reused
 /// workspace: the membership scratch array lives in `ws.own`, and only
 /// `raw` escapes into the relabel.
 pub fn seq_hec(g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
@@ -81,7 +81,7 @@ pub fn seq_hec(g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats)
                 x = Some(v);
             }
         }
-        let x = x.expect("connected graph: heaviest neighbor always exists");
+        let x = x.unwrap_or(u);
         if m[x as usize] == UNMAPPED {
             m[x as usize] = x;
             raw[x as usize] = x;

@@ -10,7 +10,8 @@ use mlcg_par::{parallel_for, profile, ExecPolicy};
 /// Compute the heavy-neighbor array `H[u]`: the first maximum-weight
 /// neighbor in adjacency order (adjacency is sorted by id, so ties resolve
 /// to the smallest id — which guarantees the directed graph `u → H[u]` has
-/// no cycles longer than two), written into a caller-owned buffer.
+/// no cycles longer than two), written into a caller-owned buffer. A
+/// vertex with no neighbor gets `H[u] = u`: it aggregates alone.
 pub fn heavy_neighbors(policy: &ExecPolicy, g: &Csr, h: &mut Vec<u32>) {
     let _k = profile::kernel("heavy_nbrs");
     let n = g.n();
@@ -18,7 +19,7 @@ pub fn heavy_neighbors(policy: &ExecPolicy, g: &Csr, h: &mut Vec<u32>) {
     let base = h.as_mut_ptr() as usize;
     parallel_for(policy, n, move |u| {
         let mut best_w = 0u64;
-        let mut best = UNMAPPED;
+        let mut best = u as VId;
         for (v, w) in g.edges(u as VId) {
             if w > best_w {
                 best_w = w;

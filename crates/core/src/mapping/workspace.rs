@@ -21,8 +21,8 @@
 /// `ConstructWorkspace`) and thread through every level.
 #[derive(Debug, Default)]
 pub struct MapWorkspace {
-    /// Ownership / claim array (`C` in Algorithm 4), MIS-2 state, HEC2's
-    /// proposer array, suitor-of — any `u32`-per-vertex working state.
+    /// HEC's reservation slots, MIS-2 state, HEC2's proposer array,
+    /// suitor-of — any `u32`-per-vertex working state.
     pub(crate) own: Vec<u32>,
     /// Heavy-neighbor array `H[u]`.
     pub(crate) heavy: Vec<u32>,
@@ -32,7 +32,7 @@ pub struct MapWorkspace {
     /// candidate list.
     pub(crate) qscratch: Vec<u32>,
     /// Inverted permutation (random priority positions) for HEC3-style
-    /// representative selection.
+    /// representative selection; HEC's pending positions in `P`.
     pub(crate) pos: Vec<u32>,
     /// Round-start snapshot of the label array (HEC3 phases 3–4, GOSH
     /// center selection, MIS-2 aggregation).

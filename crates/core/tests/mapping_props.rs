@@ -34,9 +34,10 @@ const ALL_METHODS: [MapMethod; 11] = [
 
 /// Methods whose output is independent of the parallel schedule: no
 /// winner-takes-the-slot CAS race reaches the final labels. The remaining
-/// methods (Hec, Hec2, Hem, MtMetis, Gosh) are deterministic under the
-/// serial policy only.
-const SCHEDULE_DETERMINISTIC: [MapMethod; 6] = [
+/// methods (Hec2, Hem, MtMetis, Gosh) are deterministic under the serial
+/// policy only.
+const SCHEDULE_DETERMINISTIC: [MapMethod; 7] = [
+    MapMethod::Hec,
     MapMethod::Hec3,
     MapMethod::GoshHec,
     MapMethod::Mis2,
@@ -104,7 +105,6 @@ fn racy_methods_stay_valid_and_comparable_under_parallel_policies() {
     // coarsening ratio in the same ballpark as the serial reference.
     let serial = ExecPolicy::serial();
     let racy = [
-        MapMethod::Hec,
         MapMethod::Hec2,
         MapMethod::Hem,
         MapMethod::MtMetis,

@@ -20,7 +20,7 @@
 //! interior one level down.
 
 use crate::gainheap::GainHeap;
-use crate::parref::{rounds_then_polish, ParRefConfig, ParRefWorkspace};
+use crate::parref::{default_crossover, rounds_then_polish, ParRefWorkspace};
 use crate::result::{audit_partition, PartitionResult};
 use mlcg_coarsen::{coarsen, CoarsenOptions, Hierarchy};
 use mlcg_graph::metrics::edge_cut;
@@ -75,48 +75,81 @@ pub struct FmRefineOutcome {
     pub boundary: Vec<u32>,
 }
 
-/// Per-side weight limits derived from a balance slack and a target split.
-/// Shared with the parallel refiner (`crate::parref`) so both refiners
-/// enforce the identical envelope.
-pub(crate) struct Balance {
-    /// Final partitions must keep each side at or below its strict limit.
-    pub(crate) strict: [u64; 2],
-    /// During a pass, moves may wander one max-vertex beyond the strict
-    /// limit (otherwise a perfectly balanced start could never move
-    /// anything); the best-prefix selection restores strict balance.
-    pub(crate) loose: [u64; 2],
+/// Per-part weight caps: the balance envelope every refiner enforces.
+/// [`Balance::split`] gives a bisection's two sides their own targets,
+/// [`Balance::uniform`] gives `k` parts one shared cap around `total/k`.
+#[derive(Clone, Debug)]
+pub struct Balance {
+    /// Final partitions must keep each part at or below its strict cap.
+    pub(crate) strict: Vec<u64>,
+    /// During a pass or round, moves may wander one max-vertex beyond the
+    /// strict cap (otherwise a perfectly balanced start could never move
+    /// anything); best-prefix selection and the rounds' repair restore
+    /// strict balance.
+    pub(crate) loose: Vec<u64>,
 }
 
 impl Balance {
-    pub(crate) fn new(g: &Csr, epsilon: f64, vertex_slack: bool, frac: f64) -> Balance {
-        let total: u64 = g.total_vwgt();
-        let max_vwgt = g.vwgt().iter().copied().max().unwrap_or(1);
+    /// Two sides, part 0 targeting `frac` of the total vertex weight.
+    /// Each side may exceed its target by `epsilon`, never gets less than
+    /// its rounded-up share (so exact balance stays reachable on integer
+    /// weights), and gains one max-vertex of slack with `vertex_slack`.
+    pub fn split(g: &Csr, epsilon: f64, vertex_slack: bool, frac: f64) -> Balance {
+        let total = g.total_vwgt();
         let t0 = ((total as f64 * frac).round() as u64).min(total);
-        let target = [t0, total - t0];
-        // Per-side cap: epsilon slack around the side's target, but never
-        // below the rounded-up share (so exact balance stays reachable on
-        // integer weights), plus one max-vertex of slack on coarse levels.
-        let strict_side = |t: u64, share: f64| {
-            let mut lim = (((t as f64) * (1.0 + epsilon)).floor() as u64)
-                .max((total as f64 * share).ceil() as u64);
-            if vertex_slack {
-                lim += max_vwgt;
-            }
-            lim
-        };
-        let strict = [
-            strict_side(target[0], frac),
-            strict_side(target[1], 1.0 - frac),
+        let sides = [
+            (t0 as f64, total as f64 * frac),
+            ((total - t0) as f64, total as f64 * (1.0 - frac)),
         ];
-        Balance {
-            strict,
-            loose: [strict[0] + max_vwgt, strict[1] + max_vwgt],
-        }
+        Balance::from_targets(g, epsilon, vertex_slack, &sides)
     }
 
-    /// How far either side exceeds its strict limit (0 when feasible).
-    pub(crate) fn excess(&self, wp: &[u64; 2]) -> u64 {
-        wp[0].saturating_sub(self.strict[0]) + wp[1].saturating_sub(self.strict[1])
+    /// `k` parts sharing one cap around `total/k`, under the same
+    /// epsilon, rounded-up share and vertex-slack rules as
+    /// [`Balance::split`].
+    pub fn uniform(g: &Csr, k: usize, epsilon: f64, vertex_slack: bool) -> Balance {
+        let target = g.total_vwgt() as f64 / k as f64;
+        Balance::from_targets(g, epsilon, vertex_slack, &vec![(target, target); k])
+    }
+
+    /// Caps from per-part `(target, share)` weights.
+    fn from_targets(g: &Csr, epsilon: f64, vertex_slack: bool, parts: &[(f64, f64)]) -> Balance {
+        let max_vwgt = g.vwgt().iter().copied().max().unwrap_or(1);
+        let strict: Vec<u64> = parts
+            .iter()
+            .map(|&(target, share)| {
+                let cap = ((target * (1.0 + epsilon)).floor() as u64).max(share.ceil() as u64);
+                cap + if vertex_slack { max_vwgt } else { 0 }
+            })
+            .collect();
+        let loose = strict.iter().map(|&s| s + max_vwgt).collect();
+        Balance { strict, loose }
+    }
+
+    /// Raise every strict cap to at least `floor`; the loose caps keep
+    /// their one max-vertex of headroom.
+    pub(crate) fn at_least(mut self, floor: u64) -> Balance {
+        for (s, l) in self.strict.iter_mut().zip(&mut self.loose) {
+            let headroom = *l - *s;
+            *s = (*s).max(floor);
+            *l = *s + headroom;
+        }
+        self
+    }
+
+    /// Number of parts.
+    pub fn parts(&self) -> usize {
+        self.strict.len()
+    }
+
+    /// Total weight above the strict caps, summed over parts (0 when
+    /// feasible).
+    pub fn excess(&self, wpart: &[u64]) -> u64 {
+        wpart
+            .iter()
+            .zip(&self.strict)
+            .map(|(&w, &s)| w.saturating_sub(s))
+            .sum()
     }
 }
 
@@ -164,7 +197,7 @@ pub fn fm_refine(
             boundary: Vec::new(),
         };
     }
-    let bal = Balance::new(g, cfg.epsilon, cfg.vertex_slack, frac);
+    let bal = Balance::split(g, cfg.epsilon, cfg.vertex_slack, frac);
 
     let mut wpart = [0u64; 2];
     for (u, &p) in part.iter().enumerate() {
@@ -191,46 +224,9 @@ pub fn fm_refine(
     // stamp[u] == epoch marks membership in the frontier being built for
     // the *next* pass (and dedups the initial seed at epoch 1).
     let mut stamp: Vec<u32> = vec![0; n];
-    let mut epoch: u32 = 0;
-
-    let mut frontier: Vec<u32> = match seed_frontier {
-        Some(seed) => {
-            debug_assert!(
-                seed_covers_boundary(g, part, seed),
-                "seed frontier misses a boundary vertex"
-            );
-            epoch += 1;
-            let mut f = Vec::with_capacity(seed.len());
-            for &u in seed {
-                let ui = u as usize;
-                assert!(ui < n, "seed frontier vertex {u} out of range");
-                if stamp[ui] != epoch {
-                    stamp[ui] = epoch;
-                    f.push(u);
-                }
-            }
-            f
-        }
-        None => (0..n as u32).collect(),
-    };
-
-    // Initial cut from the frontier instead of a full O(m) edge scan:
-    // both endpoints of every cut edge are boundary vertices and the
-    // frontier covers the boundary (asserted above for seeds), so summing
-    // external weight over the frontier counts each cut edge exactly
-    // twice. With a thin seeded frontier this is the difference between
-    // O(m) and O(boundary · deg) per uncoarsening level.
-    let mut ext_total: u64 = 0;
-    for &u in &frontier {
-        for (v, w) in g.edges(u) {
-            if part[u as usize] != part[v as usize] {
-                ext_total += w;
-            }
-        }
-    }
-    debug_assert_eq!(ext_total % 2, 0, "frontier missed a cut edge endpoint");
-    let mut cut = (ext_total / 2) as i64;
-    debug_assert_eq!(cut, edge_cut(g, part) as i64);
+    let mut epoch: u32 = 1;
+    let mut frontier: Vec<u32> = Vec::new();
+    let mut cut = entry_frontier(g, part, seed_frontier, &mut stamp, epoch, &mut frontier) as i64;
 
     for pass in 0..cfg.max_passes {
         let span = trace.span(|| format!("fm/pass{pass}"));
@@ -442,9 +438,65 @@ pub fn fm_refine(
     }
 }
 
+/// Seed a refinement frontier and return the entry cut. The frontier is
+/// `seed` deduplicated through `stamp` (members are stamped `epoch`), or
+/// every vertex when `seed` is `None`.
+///
+/// A seed must cover every vertex with a cut edge (a superset is fine;
+/// debug builds check it). Both endpoints of a cut edge are then in the
+/// frontier, so summing external weight over it counts each cut edge
+/// exactly twice: with a thin seeded frontier that is the difference
+/// between an `O(m)` edge scan and `O(frontier · deg)` per level.
+/// Label-agnostic, so every refiner seeds through it.
+pub(crate) fn entry_frontier(
+    g: &Csr,
+    part: &[u32],
+    seed: Option<&[u32]>,
+    stamp: &mut [u32],
+    epoch: u32,
+    frontier: &mut Vec<u32>,
+) -> u64 {
+    let n = g.n();
+    frontier.clear();
+    frontier.reserve(seed.map_or(n, <[u32]>::len));
+    match seed {
+        Some(seed) => {
+            debug_assert!(
+                seed_covers_boundary(g, part, seed),
+                "seed frontier misses a boundary vertex"
+            );
+            for &u in seed {
+                let ui = u as usize;
+                assert!(ui < n, "seed frontier vertex {u} out of range");
+                if stamp[ui] != epoch {
+                    stamp[ui] = epoch;
+                    frontier.push(u);
+                }
+            }
+        }
+        None => {
+            for u in 0..n as u32 {
+                stamp[u as usize] = epoch;
+                frontier.push(u);
+            }
+        }
+    }
+    let mut ext_total: u64 = 0;
+    for &u in frontier.iter() {
+        for (v, w) in g.edges(u) {
+            if part[u as usize] != part[v as usize] {
+                ext_total += w;
+            }
+        }
+    }
+    debug_assert_eq!(ext_total % 2, 0, "frontier missed a cut edge endpoint");
+    let cut = ext_total / 2;
+    debug_assert_eq!(cut, edge_cut(g, part));
+    cut
+}
+
 /// Debug-build check that a seed frontier covers the current boundary.
-/// Label-agnostic, so the k-way refiner shares it.
-pub(crate) fn seed_covers_boundary(g: &Csr, part: &[u32], seed: &[u32]) -> bool {
+fn seed_covers_boundary(g: &Csr, part: &[u32], seed: &[u32]) -> bool {
     let mut in_seed = vec![false; g.n()];
     for &u in seed {
         if let Some(s) = in_seed.get_mut(u as usize) {
@@ -471,7 +523,7 @@ pub fn fm_refine_frac_full_scan(g: &Csr, part: &mut [u32], cfg: &FmConfig, frac:
     if n == 0 {
         return 0;
     }
-    let bal = Balance::new(g, cfg.epsilon, cfg.vertex_slack, frac);
+    let bal = Balance::split(g, cfg.epsilon, cfg.vertex_slack, frac);
 
     let mut cut = edge_cut(g, part) as i64;
     let mut wpart = [0u64; 2];
@@ -648,8 +700,7 @@ pub fn fm_uncoarsen_frac_traced(
     seed: u64,
     trace: &TraceCollector,
 ) -> Vec<u32> {
-    let parref = ParRefConfig::default();
-    fm_uncoarsen_frac_hybrid(policy, h, cfg, &parref, frac, seed, trace)
+    fm_uncoarsen_frac_hybrid(policy, h, cfg, None, frac, seed, trace)
 }
 
 /// The hybrid uncoarsening driver: initial partition on the coarsest
@@ -661,22 +712,21 @@ pub fn fm_uncoarsen_frac_traced(
 /// vertex can be on the boundary only if its aggregate is), so per-level
 /// refinement cost tracks the boundary, not the graph.
 ///
-/// Each finer level is one [`rounds_then_polish`] step at
-/// [`ParRefConfig::crossover_threshold`] (default `HOST_GRAIN` × workers —
-/// a smaller frontier can't amortize waking the pool, per the
-/// dispatch-latency findings in DESIGN §8): when the policy is parallel
-/// and the projected frontier reaches the threshold, frontier-based
-/// parallel rounds strip the bulk positive-gain moves in fused
-/// dispatches, then the sequential boundary pass polishes from the
-/// rounds' final frontier. Below the threshold — always on the finest
-/// levels, where the boundary is thin — the level runs the sequential
-/// boundary pass alone. Only `parref`'s crossover is read; each level's
-/// balance comes from `cfg`. One [`ParRefWorkspace`] serves every level.
+/// Each finer level is one [`rounds_then_polish`] step at the crossover
+/// frontier size, `crossover` or, when `None`, [`default_crossover`]
+/// (`HOST_GRAIN` × workers — a smaller frontier can't amortize waking the
+/// pool, per the dispatch-latency findings in DESIGN §8): when the policy
+/// is parallel and the projected frontier reaches it, the frontier round
+/// engine strips the bulk positive-gain moves, then the sequential
+/// boundary pass polishes from the rounds' final frontier. Below it —
+/// always on the finest levels, where the boundary is thin — the level
+/// runs the sequential boundary pass alone. Each level's balance comes
+/// from `cfg`. One [`ParRefWorkspace`] serves every level.
 pub fn fm_uncoarsen_frac_hybrid(
     policy: &ExecPolicy,
     h: &Hierarchy,
     cfg: &FmConfig,
-    parref: &ParRefConfig,
+    crossover: Option<usize>,
     frac: f64,
     seed: u64,
     trace: &TraceCollector,
@@ -686,7 +736,7 @@ pub fn fm_uncoarsen_frac_hybrid(
     let coarsest = h.coarsest();
     let mut part = crate::ggg::greedy_graph_growing_frac(coarsest, seed, frac);
     let mut outcome = fm_refine(coarsest, &mut part, &coarse_cfg, frac, None, trace);
-    let crossover = parref.crossover_threshold(policy);
+    let crossover = crossover.unwrap_or_else(|| default_crossover(policy));
     let mut ws = ParRefWorkspace::new();
     for level in (0..h.num_levels()).rev() {
         part = h.interpolate_level(level, &part);

@@ -9,11 +9,12 @@
 //! Each bisection goes through [`fm_bisect_frac`], whose uncoarsening is
 //! the hybrid driver (`fm_uncoarsen_frac_hybrid`): under a parallel
 //! policy, coarse levels whose projected frontier crosses the crossover
-//! threshold refine with frontier-based parallel rounds
-//! (`rounds_then_polish`) before the sequential boundary FM polish —
-//! so recursive k-way inherits the parallel coarse-level engine on the
-//! top-level (largest) subproblems, where it pays, and stays on the
-//! sequential fast path for the small deep-recursion pieces.
+//! threshold run the frontier round engine (`rounds_then_polish`) before
+//! the sequential boundary FM polish — so recursive k-way inherits the
+//! parallel engine on the top-level (largest) subproblems, where it pays,
+//! and stays on the sequential fast path for the small deep-recursion
+//! pieces. The direct k-way post-pass runs the same engine over all `k`
+//! labels.
 //!
 //! Below the top bisection, the two sides of every split are independent
 //! subproblems; under a parallel policy they recurse concurrently, one

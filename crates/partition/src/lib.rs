@@ -23,7 +23,7 @@ pub mod spectral;
 
 pub use fm::{
     fm_bisect, fm_bisect_frac, fm_refine, fm_refine_frac_full_scan, fm_uncoarsen_frac_full_scan,
-    fm_uncoarsen_frac_hybrid, FmConfig, FmRefineOutcome,
+    fm_uncoarsen_frac_hybrid, Balance, FmConfig, FmRefineOutcome,
 };
 pub use kway::{
     kway_empty_parts, kway_imbalance, kway_partition, kway_partition_cfg, KwayConfig, KwayResult,
@@ -31,7 +31,7 @@ pub use kway::{
 pub use kwayref::{kway_direct_refine, KwayRefineConfig};
 pub use metislike::{metis_like, mtmetis_like};
 pub use parref::{
-    parallel_refine_rounds, rounds_then_polish, ParRefConfig, ParRefOutcome, ParRefWorkspace,
+    default_crossover, parallel_refine_rounds, rounds_then_polish, ParRefOutcome, ParRefWorkspace,
 };
 pub use result::audit_partition;
 pub use result::PartitionResult;

@@ -9,7 +9,7 @@
 //! criterion is the iterate 2-norm difference falling below 1e-10.
 
 use crate::fm::FmConfig;
-use crate::parref::{rounds_then_polish, ParRefConfig, ParRefWorkspace};
+use crate::parref::{default_crossover, rounds_then_polish, ParRefWorkspace};
 use crate::result::{audit_partition, split_weighted_median, PartitionResult};
 use mlcg_coarsen::{coarsen, CoarsenOptions};
 use mlcg_graph::Csr;
@@ -83,7 +83,7 @@ pub fn spectral_bisect(
         // strip the bulk positive gains on large graphs, then the
         // sequential boundary FM polishes from the rounds' final frontier.
         let _mem = trace.heap_scope(|| "parref/polish".to_string());
-        let crossover = ParRefConfig::default().crossover_threshold(policy);
+        let crossover = default_crossover(policy);
         let mut ws = ParRefWorkspace::new();
         rounds_then_polish(
             policy, g, &mut part, fm_cfg, crossover, 0.5, None, &mut ws, &trace,

@@ -8,9 +8,9 @@
 //! `greedy_graph_growing_frac`, `fm_refine_frac_full_scan` and
 //! `kway_partition` (k = 5 and 8). Everything runs under
 //! `ExecPolicy::serial`, plus `host_with_threads(1)` for the forced
-//! crossover: one participant keeps the parallel rounds deterministic
-//! while still taking their code path (under the serial policy the
-//! crossover is ignored).
+//! crossover, which takes the parallel rounds' code path (under the
+//! serial policy the crossover is ignored); the rounds return the same
+//! labels under every policy (`parref_props`).
 //!
 //! The pins freeze the refiners' exact move sequences. A change that is
 //! meant to keep every partition bit-identical (a new gain container, a
@@ -27,7 +27,6 @@ use mlcg_par::{ExecPolicy, TraceCollector};
 use mlcg_partition::fm::{fm_bisect, fm_refine_frac_full_scan, fm_uncoarsen_frac_hybrid, FmConfig};
 use mlcg_partition::ggg::greedy_graph_growing_frac;
 use mlcg_partition::kway::kway_partition;
-use mlcg_partition::parref::ParRefConfig;
 
 /// FNV-1a over the labels' little-endian bytes, then the cut's.
 fn fnv(part: &[u32], cut: u64) -> u64 {
@@ -109,15 +108,11 @@ fn compute() -> Vec<Case> {
                     ("hybrid-1-serial", &serial, Some(1)),
                     ("hybrid-1-host1", &host1, Some(1)),
                 ] {
-                    let parref = ParRefConfig {
-                        crossover_frontier: crossover,
-                        ..ParRefConfig::default()
-                    };
                     let part = fm_uncoarsen_frac_hybrid(
                         policy,
                         &h,
                         &fm,
-                        &parref,
+                        crossover,
                         frac,
                         seed,
                         &TraceCollector::disabled(),

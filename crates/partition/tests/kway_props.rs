@@ -12,7 +12,7 @@
 //! recursion's concurrent sides, the balance envelope on inputs with a
 //! giant component plus stray ones, and the FM move counters.
 
-use mlcg_coarsen::{CoarsenOptions, MapMethod};
+use mlcg_coarsen::CoarsenOptions;
 use mlcg_graph::builder::from_edges_unit;
 use mlcg_graph::cc::largest_component;
 use mlcg_graph::metrics::edge_cut;
@@ -117,7 +117,7 @@ fn matrix_direct_refinement_dominates_recursive_bisection() {
                         kway_imbalance(&g, &refined.part, k),
                         "{ctx}: reported imbalance drifted"
                     );
-                    // Quality contract of the entry-slack post-pass: the
+                    // Quality contract of the entry-cap post-pass: the
                     // direct-refined cut is at or below the recursive
                     // cut, unconditionally, and no part ever outgrows
                     // max(epsilon cap, heaviest recursive part) — so a
@@ -150,12 +150,10 @@ fn matrix_direct_refinement_dominates_recursive_bisection() {
 
 #[test]
 fn refiner_is_sound_from_arbitrary_labelings() {
-    // The refiner alone, from random (generally unbalanced) k-labelings,
-    // in both balance postures. With entry slack (the default) the cut
-    // never ends worse and no part outgrows max(eps cap, entry max);
-    // in repair mode (absolute eps cap) the lexicographic (excess, cut)
-    // key never ends worse than the entry. Either way the incremental
-    // cut stays exact and no part is emptied.
+    // The refiner alone, from random (generally unbalanced) k-labelings:
+    // under its entry cap the cut never ends worse, no part outgrows
+    // max(eps cap, entry max), the incremental cut stays exact and no
+    // part is emptied.
     run_cases(24, 0xD1, |gen| {
         let pick = gen.usize_in(0, 3);
         let g = match pick {
@@ -172,7 +170,6 @@ fn refiner_is_sound_from_arbitrary_labelings() {
         let bound = strict_bound(&g, k, KwayRefineConfig::default().epsilon);
         let cut0 = edge_cut(&g, &part0);
         let cap = bound.max(max_part_weight(&g, &part0, k));
-        let entry = (excess(&g, &part0, k, bound), cut0);
         let empties0 = kway_empty_parts(&part0, k);
         for policy in ExecPolicy::all_test_policies() {
             let cfg = KwayRefineConfig::default();
@@ -182,29 +179,11 @@ fn refiner_is_sound_from_arbitrary_labelings() {
             assert!(cut <= cut0, "{policy}: cut worsened {cut0} -> {cut}");
             assert!(
                 max_part_weight(&g, &p, k) <= cap,
-                "{policy}: a part outgrew the entry-slack cap {cap}"
+                "{policy}: a part outgrew the entry cap {cap}"
             );
             assert!(
                 kway_empty_parts(&p, k) <= empties0,
                 "{policy}: refinement emptied a part"
-            );
-
-            let repair = KwayRefineConfig {
-                entry_slack: false,
-                ..Default::default()
-            };
-            let mut p = part0.clone();
-            let cut =
-                kway_direct_refine(&policy, &g, &mut p, k, &repair, &TraceCollector::disabled());
-            assert_eq!(cut, edge_cut(&g, &p), "{policy}: repair-mode cut drifted");
-            let key = (excess(&g, &p, k, bound), cut);
-            assert!(
-                key <= entry,
-                "{policy}: repair ended worse than entry ({key:?} > {entry:?})"
-            );
-            assert!(
-                kway_empty_parts(&p, k) <= empties0,
-                "{policy}: repair emptied a part"
             );
         }
     });
@@ -381,8 +360,8 @@ fn giant_plus_strays_stays_in_the_epsilon_envelope() {
     // The envelope: each of the ⌈log2 k⌉ bisection levels may overshoot
     // its target by the FM epsilon plus one vertex of rounding, and
     // packing a whole stray into the lightest label overshoots by at most
-    // that stray's weight. HEM coarsens these inputs: HEC requires every
-    // vertex to have a neighbor, which a collapsed stray loses.
+    // that stray's weight. The default HEC coarsens these inputs, whose
+    // strays collapse to vertices with no neighbor.
     let eps = FmConfig::default().epsilon;
     let mut component_splits = 0;
     for (w, h) in [(16usize, 12usize), (24, 20)] {
@@ -398,7 +377,6 @@ fn giant_plus_strays_stays_in_the_epsilon_envelope() {
                     for policy in ExecPolicy::all_test_policies() {
                         let trace = TraceCollector::enabled();
                         let opts = CoarsenOptions {
-                            method: MapMethod::Hem,
                             seed,
                             trace: trace.clone(),
                             ..CoarsenOptions::default()

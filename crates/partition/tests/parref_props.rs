@@ -1,10 +1,11 @@
-//! Property-based tests for the frontier-based parallel refiner
-//! (`mlcg_partition::parref`): cut monotonicity, incremental-cut
-//! correctness, and the balance envelope — with and without the
-//! sequential polish — across every test execution policy, plus a
+//! Property-based tests for the frontier round engine
+//! (`mlcg_partition::parref`) on bisections: cut monotonicity,
+//! incremental-cut correctness, and the balance envelope — with and
+//! without the sequential polish — across every test execution policy; a
 //! multilevel test that the crossover heuristic actually runs parallel
 //! rounds on coarse levels (observed through the `parref/rounds` trace
-//! counter).
+//! counter); and a test that the rounds' output does not depend on the
+//! schedule.
 //!
 //! Randomized via the dependency-free [`mlcg_par::proplite`] harness; a
 //! failing case prints the seed that reproduces it.
@@ -15,10 +16,11 @@ use mlcg_graph::metrics::{edge_cut, part_weights};
 use mlcg_graph::{generators, Csr};
 use mlcg_par::proplite::{run_cases, Gen};
 use mlcg_par::{ExecPolicy, TraceCollector};
-use mlcg_partition::fm::{fm_refine, fm_uncoarsen_frac_hybrid, FmConfig};
-use mlcg_partition::parref::{
-    parallel_refine_rounds, ParRefConfig, ParRefOutcome, ParRefWorkspace,
-};
+use mlcg_partition::fm::{fm_refine, fm_uncoarsen_frac_hybrid, Balance, FmConfig};
+use mlcg_partition::parref::{parallel_refine_rounds, ParRefOutcome, ParRefWorkspace};
+
+/// The balance slack every test here refines under (the FM default).
+const EPSILON: f64 = 0.02;
 
 /// A graph from the family the issue names: grid2d, rmat (largest
 /// component), path.
@@ -49,16 +51,27 @@ fn balanced_random_part(n: usize, seed: u64) -> Vec<u32> {
     part
 }
 
-/// Flat rounds over every vertex at a 50/50 split, no vertex slack.
-fn rounds(policy: &ExecPolicy, g: &Csr, part: &mut [u32], cfg: &ParRefConfig) -> ParRefOutcome {
+/// Rounds to convergence over `seed` (every vertex when `None`) at a
+/// 50/50 split, no vertex slack.
+fn rounds_from(
+    policy: &ExecPolicy,
+    g: &Csr,
+    part: &mut [u32],
+    seed: Option<&[u32]>,
+) -> ParRefOutcome {
     let trace = TraceCollector::disabled();
     let mut ws = ParRefWorkspace::new();
-    parallel_refine_rounds(policy, g, part, cfg, 0.5, false, None, &mut ws, &trace)
+    let bal = Balance::split(g, EPSILON, false, 0.5);
+    parallel_refine_rounds(policy, g, part, &bal, 0, seed, &mut ws, "parref", &trace)
 }
 
-/// The strict per-side weight cap [`ParRefConfig::epsilon`] promises for a
-/// 50/50 split without vertex slack — mirrors `fm::Balance` so the tests
-/// pin the public contract, not the implementation.
+fn rounds(policy: &ExecPolicy, g: &Csr, part: &mut [u32]) -> ParRefOutcome {
+    rounds_from(policy, g, part, None)
+}
+
+/// The strict per-side weight cap epsilon promises for a 50/50 split
+/// without vertex slack — written out independently of `fm::Balance` so
+/// the tests pin the public contract, not the implementation.
 fn strict_bound(g: &Csr, epsilon: f64) -> u64 {
     let total = g.total_vwgt();
     let t0 = ((total as f64 * 0.5).round() as u64).min(total);
@@ -75,10 +88,9 @@ fn parallel_rounds_never_worsen_and_match_edge_cut() {
         let seed = gen.u64();
         let part = balanced_random_part(g.n(), seed);
         let before = edge_cut(&g, &part);
-        let cfg = ParRefConfig::default();
         for policy in ExecPolicy::all_test_policies() {
             let mut p = part.clone();
-            let after = rounds(&policy, &g, &mut p, &cfg).cut;
+            let after = rounds(&policy, &g, &mut p).cut;
             assert!(after <= before, "{policy}: worsened {before} -> {after}");
             assert_eq!(after, edge_cut(&g, &p), "{policy}: returned cut drifted");
         }
@@ -94,12 +106,11 @@ fn envelope_holds_without_polish() {
     run_cases(24, 0xC2, |gen| {
         let g = suite_graph(gen);
         let seed = gen.u64();
-        let cfg = ParRefConfig::default();
-        let bound = strict_bound(&g, cfg.epsilon);
+        let bound = strict_bound(&g, EPSILON);
         for policy in ExecPolicy::all_test_policies() {
             let mut p = balanced_random_part(g.n(), seed);
             let before = edge_cut(&g, &p);
-            let after = rounds(&policy, &g, &mut p, &cfg).cut;
+            let after = rounds(&policy, &g, &mut p).cut;
             let (w0, w1) = part_weights(&g, &p);
             assert!(
                 w0.max(w1) <= bound,
@@ -116,19 +127,18 @@ fn envelope_holds_with_polish() {
     run_cases(24, 0xC3, |gen| {
         let g = suite_graph(gen);
         let seed = gen.u64();
-        let cfg = ParRefConfig::default();
         // The rounds, then a two-pass boundary FM seeded by their frontier.
         let polish = FmConfig {
             max_passes: 2,
-            epsilon: cfg.epsilon,
+            epsilon: EPSILON,
             vertex_slack: false,
         };
         let trace = TraceCollector::disabled();
-        let bound = strict_bound(&g, cfg.epsilon);
+        let bound = strict_bound(&g, EPSILON);
         for policy in ExecPolicy::all_test_policies() {
             let mut p = balanced_random_part(g.n(), seed);
             let before = edge_cut(&g, &p);
-            let out = rounds(&policy, &g, &mut p, &cfg);
+            let out = rounds(&policy, &g, &mut p);
             let after = fm_refine(&g, &mut p, &polish, 0.5, Some(&out.frontier), &trace).cut;
             let (w0, w1) = part_weights(&g, &p);
             assert!(
@@ -162,21 +172,9 @@ fn seeded_rounds_accept_any_boundary_covering_frontier() {
             frontier.push(rng.next_below(g.n() as u64) as u32);
         }
         let before = edge_cut(&g, &part0);
-        let cfg = ParRefConfig::default();
         for policy in ExecPolicy::all_test_policies() {
             let mut p = part0.clone();
-            let mut ws = ParRefWorkspace::new();
-            let out = parallel_refine_rounds(
-                &policy,
-                &g,
-                &mut p,
-                &cfg,
-                0.5,
-                false,
-                Some(&frontier),
-                &mut ws,
-                &TraceCollector::disabled(),
-            );
+            let out = rounds_from(&policy, &g, &mut p, Some(&frontier));
             assert!(
                 out.cut <= before,
                 "{policy}: worsened {before} -> {}",
@@ -212,12 +210,8 @@ fn crossover_runs_parallel_rounds_on_coarse_levels() {
     let trace = TraceCollector::enabled();
     let opts = CoarsenOptions::default();
     let h = coarsen(&policy, &g, &opts);
-    let parref = ParRefConfig {
-        crossover_frontier: Some(1),
-        ..Default::default()
-    };
     let part =
-        fm_uncoarsen_frac_hybrid(&policy, &h, &FmConfig::default(), &parref, 0.5, 42, &trace);
+        fm_uncoarsen_frac_hybrid(&policy, &h, &FmConfig::default(), Some(1), 0.5, 42, &trace);
     let report = trace.report();
     assert!(
         report.counter("parref/rounds") > 0,
@@ -226,7 +220,7 @@ fn crossover_runs_parallel_rounds_on_coarse_levels() {
     let cut = edge_cut(&g, &part);
     assert!(cut > 0 && cut <= 256, "implausible grid cut {cut}");
     let (w0, w1) = part_weights(&g, &part);
-    let bound = strict_bound(&g, 0.02);
+    let bound = strict_bound(&g, EPSILON);
     assert!(w0.max(w1) <= bound, "weights {w0}/{w1} exceed {bound}");
 
     // Below the threshold the driver must stay sequential: a serial-policy
@@ -237,7 +231,7 @@ fn crossover_runs_parallel_rounds_on_coarse_levels() {
         &ExecPolicy::serial(),
         &h_seq,
         &FmConfig::default(),
-        &parref,
+        Some(1),
         0.5,
         42,
         &trace_seq,
@@ -247,4 +241,69 @@ fn crossover_runs_parallel_rounds_on_coarse_levels() {
         0,
         "serial policy must not take the parallel path"
     );
+}
+
+#[test]
+fn bisection_rounds_do_not_depend_on_the_schedule() {
+    // The engine claims its movers sequentially in frontier order, so a
+    // round's mover set is a pure function of (graph, partition, round).
+    // Every parallel policy must therefore return the labels one
+    // participant returns: through the hybrid driver with a forced
+    // crossover (rounds on every level, then the FM polish), and from the
+    // engine alone on a random balanced bisection.
+    let graphs = [
+        ("grid2d-32x24", generators::grid2d(32, 24)),
+        (
+            "rmat-9",
+            largest_component(&generators::rmat(9, 8, 0.57, 0.19, 0.19, 3)).0,
+        ),
+        (
+            "box27-8",
+            generators::grid3d(8, 8, 8, generators::Stencil::Box27),
+        ),
+        ("path-1024", generators::path(1024)),
+    ];
+    let one = ExecPolicy::host_with_threads(1);
+    let mut parallel: Vec<ExecPolicy> = ExecPolicy::all_test_policies()
+        .into_iter()
+        .filter(|p| p.backend != mlcg_par::Backend::Serial)
+        .collect();
+    parallel.extend([ExecPolicy::host(), ExecPolicy::device_sim()]);
+    let trace = TraceCollector::disabled();
+    let fm = FmConfig::default();
+    for (name, g) in &graphs {
+        for seed in [1u64, 7] {
+            let opts = CoarsenOptions {
+                seed,
+                ..CoarsenOptions::default()
+            };
+            let h = coarsen(&ExecPolicy::serial(), g, &opts);
+            let start = balanced_random_part(g.n(), seed);
+            let calls = |policy: &ExecPolicy| -> Vec<Vec<u32>> {
+                let mut out: Vec<Vec<u32>> = [0.5, 0.375]
+                    .iter()
+                    .map(|&frac| {
+                        fm_uncoarsen_frac_hybrid(policy, &h, &fm, Some(1), frac, seed, &trace)
+                    })
+                    .collect();
+                let mut p = start.clone();
+                rounds(policy, g, &mut p);
+                out.push(p);
+                out
+            };
+            let reference = calls(&one);
+            for policy in &parallel {
+                let got = calls(policy);
+                for (call, (want, labels)) in ["hybrid@0.5", "hybrid@0.375", "rounds"]
+                    .iter()
+                    .zip(reference.iter().zip(&got))
+                {
+                    assert!(
+                        want == labels,
+                        "{name} s{seed} {call}: {policy} labels differ from one participant's"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -12,10 +12,10 @@ use mlcg_graph::metrics::{edge_cut, part_weights};
 use mlcg_graph::Csr;
 use mlcg_par::proplite::{run_cases, Gen};
 use mlcg_par::{ExecPolicy, TraceCollector};
-use mlcg_partition::fm::{fm_refine, FmConfig};
+use mlcg_partition::fm::{fm_refine, Balance, FmConfig};
 use mlcg_partition::ggg::greedy_graph_growing_frac;
 use mlcg_partition::kway::{kway_imbalance, kway_partition};
-use mlcg_partition::parref::{parallel_refine_rounds, ParRefConfig, ParRefWorkspace};
+use mlcg_partition::parref::{parallel_refine_rounds, ParRefWorkspace};
 
 fn connected_graph(g: &mut Gen) -> Csr {
     let n = g.usize_in(4, 50);
@@ -205,13 +205,13 @@ fn parallel_refine_is_sound() {
         let seed = gen.u64();
         let part = balanced_random_part(g.n(), seed);
         let before = edge_cut(&g, &part);
-        let cfg = ParRefConfig::default();
+        let bal = Balance::split(&g, 0.02, false, 0.5);
         let trace = TraceCollector::disabled();
         for policy in ExecPolicy::all_test_policies() {
             let mut p = part.clone();
             let mut ws = ParRefWorkspace::new();
             let after = parallel_refine_rounds(
-                &policy, &g, &mut p, &cfg, 0.5, false, None, &mut ws, &trace,
+                &policy, &g, &mut p, &bal, 0, None, &mut ws, "parref", &trace,
             )
             .cut;
             assert!(after <= before, "refinement worsened {before} -> {after}");

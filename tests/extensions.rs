@@ -9,7 +9,6 @@ use multilevel_coarsen::graph::metrics::edge_cut;
 use multilevel_coarsen::graph::suite;
 use multilevel_coarsen::partition::fm::fm_uncoarsen_frac_hybrid;
 use multilevel_coarsen::partition::kway::kway_partition;
-use multilevel_coarsen::partition::parref::ParRefConfig;
 use multilevel_coarsen::prelude::*;
 
 #[test]
@@ -106,13 +105,9 @@ fn kway_and_parref_on_the_mini_suite() {
 
         // Crossover 1: parallel rounds run on every uncoarsening level.
         let h = coarsen(&policy, g, &CoarsenOptions::default());
-        let parref = ParRefConfig {
-            crossover_frontier: Some(1),
-            ..Default::default()
-        };
         let trace = TraceCollector::disabled();
         let part =
-            fm_uncoarsen_frac_hybrid(&policy, &h, &FmConfig::default(), &parref, 0.5, 3, &trace);
+            fm_uncoarsen_frac_hybrid(&policy, &h, &FmConfig::default(), Some(1), 0.5, 3, &trace);
         let pr_cut = edge_cut(g, &part);
         let fm = fm_bisect(
             &policy,
