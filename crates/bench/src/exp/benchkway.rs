@@ -7,8 +7,8 @@
 //!   seconds are the whole partition (coarsen + bisect cascade), the
 //!   quantity the post-pass rides on top of;
 //! * `direct_refine` — the direct k-way post-pass
-//!   ([`kway_direct_refine`]: the frontier round engine shared with
-//!   bisection, then the sequential k-way FM) applied to a clone of the
+//!   ([`kway_direct_refine`]: the frontier round engine and the
+//!   sequential boundary FM bisection also runs) applied to a clone of the
 //!   last recursive labeling; its recorded seconds are the refinement
 //!   alone, so the gate tracks the marginal cost of seeing all k labels
 //!   jointly.

@@ -9,6 +9,11 @@
 //! an indexed max-heap over weighted gains that each move updates in place
 //! (`crate::gainheap`).
 //!
+//! [`fm_refine`] is the one sequential boundary FM, for any number of
+//! parts: bisection refines under [`Balance::split`], the k-way post-pass
+//! (`crate::kwayref`) under its entry cap. Its gain model is picked once
+//! per call from the part count, so the move loop never branches on `k`.
+//!
 //! Refinement is *boundary-driven*: a pass computes gains and heap-seeds
 //! only the frontier (vertices with at least one cut edge, plus anything
 //! whose stored gain a move invalidated), so a pass costs
@@ -20,18 +25,22 @@
 //! interior one level down.
 
 use crate::gainheap::GainHeap;
-use crate::parref::{default_crossover, rounds_then_polish, ParRefWorkspace};
+use crate::parref::{
+    default_crossover, part_loads, rounds_then_polish, ParRefWorkspace, PartScratch,
+};
 use crate::result::{audit_partition, PartitionResult};
 use mlcg_coarsen::{coarsen, CoarsenOptions, Hierarchy};
 use mlcg_graph::metrics::edge_cut;
 use mlcg_graph::{Csr, VId};
 use mlcg_par::{ExecPolicy, TraceCollector};
 
+/// Maximum passes per refinement, for [`fm_refine`] and the full-scan
+/// oracle alike.
+const MAX_PASSES: usize = 8;
+
 /// FM tuning parameters.
 #[derive(Clone, Debug)]
 pub struct FmConfig {
-    /// Maximum refinement passes per level.
-    pub max_passes: usize,
     /// Allowed imbalance: a move is feasible while the heavier side stays
     /// at or below `(1 + epsilon) · total/2` (always at least `⌈total/2⌉`,
     /// so unit-weight graphs can reach exact balance).
@@ -47,7 +56,6 @@ pub struct FmConfig {
 impl Default for FmConfig {
     fn default() -> Self {
         FmConfig {
-            max_passes: 8,
             epsilon: 0.02,
             vertex_slack: false,
         }
@@ -62,10 +70,16 @@ impl FmConfig {
             ..self.clone()
         }
     }
+
+    /// The bisection envelope this configuration sets on `g`, part 0
+    /// targeting `frac` of the vertex weight.
+    pub(crate) fn split(&self, g: &Csr, frac: f64) -> Balance {
+        Balance::split(g, self.epsilon, self.vertex_slack, frac)
+    }
 }
 
 /// Outcome of one boundary-driven refinement.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FmRefineOutcome {
     /// Final weighted edge cut.
     pub cut: u64,
@@ -95,6 +109,7 @@ impl Balance {
     /// its rounded-up share (so exact balance stays reachable on integer
     /// weights), and gains one max-vertex of slack with `vertex_slack`.
     pub fn split(g: &Csr, epsilon: f64, vertex_slack: bool, frac: f64) -> Balance {
+        assert!((0.0..=1.0).contains(&frac), "frac must be in [0, 1]");
         let total = g.total_vwgt();
         let t0 = ((total as f64 * frac).round() as u64).min(total);
         let sides = [
@@ -153,71 +168,252 @@ impl Balance {
     }
 }
 
-/// Boundary-driven FM refinement of a bisection — the production refiner.
-/// Mutates `part` so that part 0 targets `frac` of the total vertex weight
-/// (recursive k-way partitioning uses odd splits), and returns the final
-/// cut and boundary.
+/// Boundary-driven FM refinement under `bal` — the one sequential
+/// refiner, for any `bal.parts() ≥ 2`. Mutates `part` (labels in
+/// `0..bal.parts()`) and returns the final cut and boundary.
 ///
-/// Each pass computes gains and heap-seeds only the *frontier*; interior
-/// vertices enter the heap lazily, when a committed move re-gains them.
-/// The frontier is maintained incrementally: the next pass revisits the
+/// With `w(u, q)` the weight of `u`'s edges into part `q`, a vertex in
+/// part `p` has `gain(u) = max_{q≠p} w(u, q) − w(u, p)`: for two parts,
+/// external minus internal weight, read directly; for more, derived from
+/// a compact per-vertex neighbor-part weight map kept as neighbors move.
+///
+/// Each pass computes gains and heap-seeds only the *frontier*: the
 /// current boundary plus every vertex whose stored gain a move (committed
 /// *or* rolled back) invalidated, so a pass costs
-/// `O(boundary + moved · deg)` rather than `O(n + m)`.
+/// `O(boundary + moved · deg)` rather than `O(n + m)`. `seed_frontier`,
+/// when given, replaces the first pass's full vertex scan; it must cover
+/// every vertex with a cut edge (a superset is fine).
 ///
-/// `seed_frontier`, when given, replaces the first pass's full vertex scan;
-/// it must cover every vertex with a cut edge (a superset is fine — extra
-/// candidates are filtered out after one gain computation). The multilevel
-/// driver obtains it by projecting the coarser level's final boundary.
+/// One rule set serves every `k`:
 ///
-/// One exception needs a wider net: while a side exceeds its strict weight
-/// limit, the pass also seeds every vertex of the over-limit side, because
-/// balance repair may require moving vertices with no cut edge at all
-/// (e.g. a degenerate everything-on-one-side start has an *empty*
-/// boundary). Balanced runs never pay this cost.
+/// - *Repair seeding.* While a part is over its strict cap at pass start,
+///   every vertex of that part is seeded, cut edge or not (a degenerate
+///   everything-on-one-side start has an *empty* boundary).
+/// - *Target.* A popped vertex moves to its best-alternative part if that
+///   fits under the loose cap, else to the best connected part that fits,
+///   else — when it has no cut edge or its part is over its strict cap —
+///   to the least-loaded part that fits. For two parts all three read
+///   "the other side if it fits".
+/// - *Passes.* A pass keeps the best `(excess, cut)` prefix and rolls back
+///   the rest; it aborts after `(2·boundary).max(64)` moves without a new
+///   best prefix. Refinement stops after a pass that keeps no move, or
+///   after 8 passes.
+/// - *Count guard.* No move may empty a part.
 ///
-/// Each pass records an `fm/pass{N}` span and an `fm/boundary_size` gauge
-/// on `trace`; every move the pass makes feeds the `fm/moves_committed`
-/// counter, and the ones past the best prefix, undone at its end,
-/// `fm/moves_rolled_back`.
+/// Each pass records a `{layer}/pass{N}` span and a
+/// `{layer}/boundary_size` gauge; its moves feed `{layer}/moves_committed`
+/// and the rolled-back ones `{layer}/moves_rolled_back`.
 pub fn fm_refine(
     g: &Csr,
     part: &mut [u32],
-    cfg: &FmConfig,
-    frac: f64,
+    bal: &Balance,
     seed_frontier: Option<&[u32]>,
+    layer: &'static str,
     trace: &TraceCollector,
 ) -> FmRefineOutcome {
     let n = g.n();
     assert_eq!(part.len(), n);
-    assert!((0.0..=1.0).contains(&frac), "frac must be in [0, 1]");
-    if n == 0 {
-        return FmRefineOutcome {
-            cut: 0,
-            boundary: Vec::new(),
-        };
+    match bal.parts() {
+        2 if n > 0 => {
+            let model = TwoWay {
+                key: vec![(0, 0); n],
+            };
+            refine(model, g, part, bal, seed_frontier, layer, trace)
+        }
+        k if k > 2 && n > 0 => {
+            let model = KWay {
+                k,
+                conn: vec![Vec::new(); n],
+                key: vec![(0, 0); n],
+                best_to: vec![k as u32; n],
+                sc: PartScratch::default(),
+            };
+            refine(model, g, part, bal, seed_frontier, layer, trace)
+        }
+        _ => FmRefineOutcome::default(),
     }
-    let bal = Balance::split(g, cfg.epsilon, cfg.vertex_slack, frac);
+}
 
-    let mut wpart = [0u64; 2];
-    for (u, &p) in part.iter().enumerate() {
-        wpart[p as usize] += g.vwgt()[u];
+/// How [`fm_refine`] keeps each vertex's best move. Every model stores a
+/// vertex's `(gain, ext)` key — the gain of its best-alternative move,
+/// which orders the heap, and the weight of its cut edges.
+trait GainModel {
+    /// Rebuild `u`'s state from its adjacency.
+    fn build(&mut self, g: &Csr, part: &[u32], u: usize);
+    /// A neighbor of `v`, in part `pv`, moved `from → to` over an edge of
+    /// weight `w`.
+    fn shift(&mut self, v: usize, pv: u32, from: u32, to: u32, w: u64);
+    /// `u`'s `(gain, ext)`.
+    fn key(&self, u: usize) -> (i64, u64);
+    /// The part `u`, in `from` with weight `vw`, moves to under the target
+    /// rule (see [`fm_refine`]), and that move's gain.
+    fn target(&self, u: usize, from: u32, vw: u64, wpart: &[u64], bal: &Balance) -> Option<Move>;
+}
+
+/// A move target: the destination part and the move's gain.
+struct Move {
+    to: u32,
+    gain: i64,
+}
+
+/// Two parts: external minus internal weight.
+struct TwoWay {
+    key: Vec<(i64, u64)>,
+}
+
+impl GainModel for TwoWay {
+    fn build(&mut self, g: &Csr, part: &[u32], u: usize) {
+        let (mut gain, mut ext) = (0i64, 0u64);
+        for (v, w) in g.edges(u as VId) {
+            if part[u] == part[v as usize] {
+                gain -= w as i64;
+            } else {
+                gain += w as i64;
+                ext += w;
+            }
+        }
+        self.key[u] = (gain, ext);
     }
 
-    let mut gain: Vec<i64> = vec![0; n];
-    // External (cut-edge) weight per vertex, maintained alongside the
-    // gain. Only vertices with `ext > 0` are heap-eligible: moving an
-    // interior vertex is pure hill-climbing and re-scans the whole graph
-    // one cascade at a time, which is exactly the O(n + m) behaviour this
-    // refiner exists to avoid. (The balance-repair fallback below is the
-    // one deliberate exception.)
-    let mut ext: Vec<u64> = vec![0; n];
-    // With a seeded frontier, vertices outside the seed have never had
-    // their gain computed; the first touch must be a full recompute, not a
-    // delta on the uninitialized value. Once known, a gain is kept fresh
-    // by the frontier invariant (any neighbor flip re-frontiers the
-    // vertex).
-    let mut gain_known: Vec<bool> = vec![false; n];
+    fn shift(&mut self, v: usize, pv: u32, from: u32, _: u32, w: u64) {
+        // The (u, v) edge changed cut status for v as well.
+        let (gain, ext) = &mut self.key[v];
+        if pv == from {
+            *gain += 2 * w as i64;
+            *ext += w;
+        } else {
+            *gain -= 2 * w as i64;
+            *ext -= w;
+        }
+    }
+
+    fn key(&self, u: usize) -> (i64, u64) {
+        self.key[u]
+    }
+
+    fn target(&self, u: usize, from: u32, vw: u64, wpart: &[u64], bal: &Balance) -> Option<Move> {
+        let to = 1 - from;
+        let gain = self.key[u].0;
+        (wpart[to as usize] + vw <= bal.loose[to as usize]).then_some(Move { to, gain })
+    }
+}
+
+/// More than two parts: per-vertex neighbor-part weight maps and the
+/// best-alternative target derived from them.
+struct KWay {
+    k: usize,
+    /// `conn[u]` lists `(part, weight)` for every part `u` touches, own
+    /// part included; adjusted in O(|conn|) per neighbor move.
+    conn: Vec<Vec<(u32, u64)>>,
+    key: Vec<(i64, u64)>,
+    /// Best-alternative target; `k` is the sentinel for "no external
+    /// connectivity".
+    best_to: Vec<u32>,
+    sc: PartScratch,
+}
+
+impl KWay {
+    /// Derive `u`'s key and best-alternative target from its map.
+    fn refresh(&mut self, u: usize, pu: u32) {
+        let (mut own, mut total) = (0u64, 0u64);
+        let mut best: Option<(u64, u32)> = None;
+        for &(q, w) in &self.conn[u] {
+            total += w;
+            if q == pu {
+                own = w;
+            } else if best.is_none_or(|(bw, bq)| w > bw || (w == bw && q < bq)) {
+                best = Some((w, q));
+            }
+        }
+        let (wq, q) = best.unwrap_or((0, self.k as u32));
+        self.key[u] = (wq as i64 - own as i64, total - own);
+        self.best_to[u] = q;
+    }
+}
+
+impl GainModel for KWay {
+    fn build(&mut self, g: &Csr, part: &[u32], u: usize) {
+        self.sc.begin(self.k);
+        for (v, w) in g.edges(u as VId) {
+            self.sc.add(part[v as usize], w);
+        }
+        let list = &mut self.conn[u];
+        list.clear();
+        list.extend(self.sc.touched.iter().map(|&q| (q, self.sc.get(q))));
+        self.refresh(u, part[u]);
+    }
+
+    fn shift(&mut self, v: usize, pv: u32, from: u32, to: u32, w: u64) {
+        let list = &mut self.conn[v];
+        if let Some(pos) = list.iter().position(|e| e.0 == from) {
+            list[pos].1 -= w;
+            if list[pos].1 == 0 {
+                list.swap_remove(pos);
+            }
+        }
+        match list.iter_mut().find(|e| e.0 == to) {
+            Some(e) => e.1 += w,
+            None => list.push((to, w)),
+        }
+        self.refresh(v, pv);
+    }
+
+    fn key(&self, u: usize) -> (i64, u64) {
+        self.key[u]
+    }
+
+    fn target(&self, u: usize, from: u32, vw: u64, wpart: &[u64], bal: &Balance) -> Option<Move> {
+        let fits = |q: u32| wpart[q as usize] + vw <= bal.loose[q as usize];
+        let (to, gain) = (self.best_to[u], self.key[u].0);
+        if (to as usize) < self.k && fits(to) {
+            return Some(Move { to, gain });
+        }
+        let mut own = 0u64;
+        let mut best: Option<(u64, u32)> = None;
+        for &(q, w) in &self.conn[u] {
+            if q == from {
+                own = w;
+            } else if fits(q) && best.is_none_or(|(bw, bq)| w > bw || (w == bw && q < bq)) {
+                best = Some((w, q));
+            }
+        }
+        if let Some((w, to)) = best {
+            let gain = w as i64 - own as i64;
+            return Some(Move { to, gain });
+        }
+        if self.key[u].1 > 0 && wpart[from as usize] <= bal.strict[from as usize] {
+            return None;
+        }
+        let gain = -(own as i64);
+        (0..self.k as u32)
+            .filter(|&q| q != from && fits(q))
+            .min_by_key(|&q| wpart[q as usize])
+            .map(|to| Move { to, gain })
+    }
+}
+
+/// The pass loop of [`fm_refine`] over one gain model.
+fn refine<M: GainModel>(
+    mut model: M,
+    g: &Csr,
+    part: &mut [u32],
+    bal: &Balance,
+    seed_frontier: Option<&[u32]>,
+    layer: &'static str,
+    trace: &TraceCollector,
+) -> FmRefineOutcome {
+    let n = g.n();
+    let (mut wpart, mut counts) = part_loads(g, part, bal.parts());
+    // Only vertices with a cut edge (`ext > 0`) are heap-eligible outside
+    // repair seeding: moving an interior vertex is pure hill-climbing and
+    // re-scans the graph one cascade at a time — the O(n + m) behaviour
+    // this refiner exists to avoid.
+    //
+    // Outside a seeded frontier a vertex's first touch must be a full
+    // build, not a shift of an uninitialized key. Once known, a key is
+    // kept fresh by the frontier invariant (any neighbor move
+    // re-frontiers the vertex).
+    let mut known: Vec<bool> = vec![false; n];
     let mut locked: Vec<bool> = vec![false; n];
     // Holds exactly the unlocked move candidates, each at its current gain.
     let mut heap = GainHeap::new(n);
@@ -227,107 +423,80 @@ pub fn fm_refine(
     let mut epoch: u32 = 1;
     let mut frontier: Vec<u32> = Vec::new();
     let mut cut = entry_frontier(g, part, seed_frontier, &mut stamp, epoch, &mut frontier) as i64;
+    // The pass's committed `(vertex, previous part)` moves.
+    let mut moves: Vec<(u32, u32)> = Vec::new();
 
-    for pass in 0..cfg.max_passes {
-        let span = trace.span(|| format!("fm/pass{pass}"));
+    for pass in 0..MAX_PASSES {
+        let span = trace.span(|| format!("{layer}/pass{pass}"));
         epoch += 1;
         let mut next: Vec<u32> = Vec::new();
         heap.clear();
-        // Recompute gains over the frontier; heap-seed only boundary
-        // vertices. An interior frontier member keeps its (fresh) gain but
-        // can only move after a neighbor's committed move pushes it.
+        // Only boundary members enter the heap; an interior member keeps
+        // its fresh key until a neighbor's move pushes it.
         let mut boundary_size = 0usize;
-        for &fu in &frontier {
-            let u = fu as usize;
-            let mut gsum = 0i64;
-            let mut extw = 0u64;
-            for (v, w) in g.edges(u as VId) {
-                if part[u] == part[v as usize] {
-                    gsum -= w as i64;
-                } else {
-                    gsum += w as i64;
-                    extw += w;
-                }
-            }
-            gain[u] = gsum;
-            ext[u] = extw;
-            gain_known[u] = true;
-            locked[u] = false;
-            if extw > 0 {
-                heap.upsert(u as u32, gsum);
+        for &u in &frontier {
+            let ui = u as usize;
+            model.build(g, part, ui);
+            known[ui] = true;
+            locked[ui] = false;
+            let (gain, ext) = model.key(ui);
+            if ext > 0 {
+                heap.upsert(u, gain);
                 boundary_size += 1;
-                if stamp[u] != epoch {
-                    stamp[u] = epoch;
-                    next.push(u as u32);
+                if stamp[ui] != epoch {
+                    stamp[ui] = epoch;
+                    next.push(u);
                 }
             }
         }
-        trace.gauge_usize(|| "fm/boundary_size".to_string(), boundary_size);
+        trace.gauge_usize(|| format!("{layer}/boundary_size"), boundary_size);
         if bal.excess(&wpart) > 0 {
-            // Balance-repair fallback: seed every vertex of any over-limit
-            // side (the boundary alone may be unable to shed weight — it
-            // can even be empty when one side holds the whole graph).
             for u in 0..n {
-                let s = part[u] as usize;
-                if wpart[s] > bal.strict[s] && stamp[u] != epoch {
+                let p = part[u] as usize;
+                if wpart[p] > bal.strict[p] && stamp[u] != epoch {
                     stamp[u] = epoch;
                     next.push(u as u32);
-                    let mut gsum = 0i64;
-                    let mut extw = 0u64;
-                    for (v, w) in g.edges(u as VId) {
-                        if part[u] == part[v as usize] {
-                            gsum -= w as i64;
-                        } else {
-                            gsum += w as i64;
-                            extw += w;
-                        }
-                    }
-                    gain[u] = gsum;
-                    ext[u] = extw;
-                    gain_known[u] = true;
+                    model.build(g, part, u);
+                    known[u] = true;
                     locked[u] = false;
-                    // Pushed even when interior (ext == 0): shedding
-                    // weight off an over-limit side may require moving
-                    // vertices with no cut edge at all.
-                    heap.upsert(u as u32, gsum);
+                    heap.upsert(u as u32, model.key(u).0);
                 }
             }
         }
 
-        // Prefix quality key: (how far either side exceeds its strict
-        // limit, cut). The empty prefix is the baseline, so an unbalanced
-        // start can also be repaired.
+        // The empty prefix is the baseline, so an unbalanced start can
+        // also be repaired.
         let mut best_key = (bal.excess(&wpart), cut);
         let mut best_len = 0usize;
-        let mut moves: Vec<u32> = Vec::new();
-        // Early pass termination: committed moves re-frontier their
-        // neighbors, so a pass could otherwise sweep the cut line across
-        // the whole graph (and roll it all back) — O(n) churn that defeats
-        // the boundary restriction. Abort the move loop once a run of
-        // moves proportional to the boundary finds no better prefix;
-        // productive sequences reset the counter and keep going.
+        moves.clear();
+        // The abort stops a pass from sweeping the cut line across the
+        // whole graph only to roll it all back; productive sequences
+        // reset the count and keep going.
         let abort_limit = (2 * boundary_size).max(64);
         let mut since_best = 0usize;
 
         while let Some((_, u)) = heap.pop() {
-            let u = u as usize;
-            let from = part[u] as usize;
-            let to = 1 - from;
-            if wpart[to] + g.vwgt()[u] > bal.loose[to] {
-                // Balance-infeasible right now; a later neighbor move
-                // re-admits it.
+            let ui = u as usize;
+            let from = part[ui];
+            let vw = g.vwgt()[ui];
+            if counts[from as usize] <= 1 {
                 continue;
             }
-            // Commit the move.
-            locked[u] = true;
-            part[u] = to as u32;
-            wpart[from] -= g.vwgt()[u];
-            wpart[to] += g.vwgt()[u];
-            cut -= gain[u];
-            moves.push(u as u32);
-            if stamp[u] != epoch {
-                stamp[u] = epoch;
-                next.push(u as u32);
+            // An infeasible vertex waits for a neighbor move to re-admit it.
+            let Some(Move { to, gain }) = model.target(ui, from, vw, &wpart, bal) else {
+                continue;
+            };
+            locked[ui] = true;
+            part[ui] = to;
+            wpart[from as usize] -= vw;
+            wpart[to as usize] += vw;
+            counts[from as usize] -= 1;
+            counts[to as usize] += 1;
+            cut -= gain;
+            moves.push((u, from));
+            if stamp[ui] != epoch {
+                stamp[ui] = epoch;
+                next.push(u);
             }
             let key = (bal.excess(&wpart), cut);
             if key < best_key {
@@ -337,104 +506,72 @@ pub fn fm_refine(
             } else {
                 since_best += 1;
                 if since_best >= abort_limit {
-                    // Safe to break before this move's neighbor updates:
-                    // the move is past the best prefix, so the rollback
-                    // below restores part[u] and its neighbors' stored
-                    // gains were never touched for either flip. u itself
-                    // was stamped into `next` at commit and is recomputed
-                    // next pass.
+                    // Safe before this move's neighbor updates: the move
+                    // is past the best prefix, so the rollback restores
+                    // part[u], and u was stamped into `next` at commit.
                     break;
                 }
             }
-            // Update neighbor gains. Every neighbor's stored gain goes
-            // stale when u flips (even a locked one, whose update is
-            // skipped), so all of them join the next pass's frontier for
-            // recomputation — this also covers staleness left behind by
-            // the end-of-pass rollback.
-            for (v, w) in g.edges(u as VId) {
-                let v = v as usize;
-                if stamp[v] != epoch {
-                    stamp[v] = epoch;
-                    next.push(v as u32);
+            // Every neighbor's stored key goes stale when u moves (even a
+            // locked one, whose update is skipped), so all of them join
+            // the next pass's frontier — this also covers staleness left
+            // behind by the end-of-pass rollback.
+            for (v, w) in g.edges(u) {
+                let vi = v as usize;
+                if stamp[vi] != epoch {
+                    stamp[vi] = epoch;
+                    next.push(v);
                 }
-                if locked[v] {
+                if locked[vi] {
                     continue;
                 }
-                if gain_known[v] {
-                    // u flipped from `from` to `to`, so the (u, v) edge
-                    // changed cut status for v as well.
-                    if part[v] as usize == from {
-                        gain[v] += 2 * w as i64;
-                        ext[v] += w;
-                    } else {
-                        gain[v] -= 2 * w as i64;
-                        ext[v] -= w;
-                    }
+                if known[vi] {
+                    model.shift(vi, part[vi], from, to, w);
                 } else {
-                    // First touch of a vertex outside the seeded frontier:
-                    // full recompute (part[u] has already flipped, so the
-                    // fresh gain includes this move — no delta on top).
-                    let mut gsum = 0i64;
-                    let mut extw = 0u64;
-                    for (x, xw) in g.edges(v as VId) {
-                        if part[v] == part[x as usize] {
-                            gsum -= xw as i64;
-                        } else {
-                            gsum += xw as i64;
-                            extw += xw;
-                        }
-                    }
-                    gain[v] = gsum;
-                    ext[v] = extw;
-                    gain_known[v] = true;
+                    // part[u] has already moved, so the build includes it.
+                    model.build(g, part, vi);
+                    known[vi] = true;
                 }
-                // Only boundary vertices stay candidates; a vertex whose
-                // last cut edge just disappeared drops out.
-                if ext[v] > 0 {
-                    heap.upsert(v as u32, gain[v]);
-                } else {
-                    heap.remove(v as u32);
+                // A vertex whose last cut edge just disappeared drops out.
+                match model.key(vi) {
+                    (gain, ext) if ext > 0 => heap.upsert(v, gain),
+                    _ => heap.remove(v),
                 }
             }
         }
-        // Roll back past the best prefix.
-        trace.counter_add("fm/moves_committed", moves.len() as u64);
-        trace.counter_add("fm/moves_rolled_back", (moves.len() - best_len) as u64);
-        for &u in &moves[best_len..] {
-            let u = u as usize;
-            let from = part[u] as usize;
-            let to = 1 - from;
-            part[u] = to as u32;
-            wpart[from] -= g.vwgt()[u];
-            wpart[to] += g.vwgt()[u];
+        if trace.is_enabled() {
+            trace.counter_add(&format!("{layer}/moves_committed"), moves.len() as u64);
+            let rolled_back = (moves.len() - best_len) as u64;
+            trace.counter_add(&format!("{layer}/moves_rolled_back"), rolled_back);
+        }
+        for &(u, from) in moves[best_len..].iter().rev() {
+            let ui = u as usize;
+            let (to, vw) = (part[ui] as usize, g.vwgt()[ui]);
+            part[ui] = from;
+            wpart[to] -= vw;
+            wpart[from as usize] += vw;
+            counts[to] -= 1;
+            counts[from as usize] += 1;
         }
         cut = best_key.1;
         debug_assert_eq!(cut, edge_cut(g, part) as i64, "incremental cut drifted");
         span.finish();
         frontier = next;
-        // A pass made progress iff a non-empty best prefix was kept — the
-        // (excess, cut) key strictly improved, whether by lowering the cut
-        // or by repairing balance. (The former `cut >= start_cut` exit
-        // wrongly stopped after a pass that repaired balance at an equal
-        // or higher cut, even though the next pass, starting from the
-        // now-balanced partition, can improve the cut further.)
+        // A pass that repaired balance at an equal or higher cut still
+        // counts: the next pass can improve the cut from there.
         if best_len == 0 {
             break;
         }
     }
     // By the frontier invariant, the last built frontier covers every
     // vertex that can still have a cut edge.
-    let boundary: Vec<u32> = frontier
-        .iter()
-        .copied()
-        .filter(|&u| {
-            g.edges(u)
-                .any(|(v, _)| part[u as usize] != part[v as usize])
-        })
-        .collect();
+    frontier.retain(|&u| {
+        g.edges(u)
+            .any(|(v, _)| part[u as usize] != part[v as usize])
+    });
     FmRefineOutcome {
         cut: cut as u64,
-        boundary,
+        boundary: frontier,
     }
 }
 
@@ -519,23 +656,19 @@ fn seed_covers_boundary(g: &Csr, part: &[u32], seed: &[u32]) -> bool {
 pub fn fm_refine_frac_full_scan(g: &Csr, part: &mut [u32], cfg: &FmConfig, frac: f64) -> u64 {
     let n = g.n();
     assert_eq!(part.len(), n);
-    assert!((0.0..=1.0).contains(&frac), "frac must be in [0, 1]");
+    let bal = cfg.split(g, frac);
     if n == 0 {
         return 0;
     }
-    let bal = Balance::split(g, cfg.epsilon, cfg.vertex_slack, frac);
 
     let mut cut = edge_cut(g, part) as i64;
-    let mut wpart = [0u64; 2];
-    for (u, &p) in part.iter().enumerate() {
-        wpart[p as usize] += g.vwgt()[u];
-    }
+    let mut wpart = part_loads(g, part, 2).0;
 
     let mut gain: Vec<i64> = vec![0; n];
     let mut locked: Vec<bool> = vec![false; n];
     let mut heap = GainHeap::new(n);
 
-    for _pass in 0..cfg.max_passes {
+    for _pass in 0..MAX_PASSES {
         // (Re)compute gains: external minus internal weight.
         for u in 0..n {
             let mut gsum = 0i64;
@@ -623,6 +756,9 @@ pub fn fm_uncoarsen_frac_full_scan(
     let coarsest = h.coarsest();
     let mut part = crate::ggg::greedy_graph_growing_frac(coarsest, seed, frac);
     let mut cut = fm_refine_frac_full_scan(coarsest, &mut part, &coarse_cfg, frac);
+    if h.num_levels() == 0 {
+        cut = fm_refine_frac_full_scan(coarsest, &mut part, cfg, frac);
+    }
     for level in (0..h.num_levels()).rev() {
         part = h.interpolate_level(level, &part);
         let level_cfg = if level == 0 { cfg } else { &coarse_cfg };
@@ -710,18 +846,18 @@ pub fn fm_uncoarsen_frac_traced(
 /// The coarsest level refines from a full scan; every finer level seeds
 /// its frontier by projecting the coarser level's final boundary (a fine
 /// vertex can be on the boundary only if its aggregate is), so per-level
-/// refinement cost tracks the boundary, not the graph.
+/// refinement cost tracks the boundary, not the graph. Every level but the
+/// finest refines with [`FmConfig::vertex_slack`]; the finest tightens to
+/// `cfg`. A hierarchy with no levels has no finest level to tighten on,
+/// so its coarsest graph — the input itself — gets one more refinement
+/// under `cfg`, seeded from the slack refinement's boundary.
 ///
 /// Each finer level is one [`rounds_then_polish`] step at the crossover
-/// frontier size, `crossover` or, when `None`, [`default_crossover`]
-/// (`HOST_GRAIN` × workers — a smaller frontier can't amortize waking the
-/// pool, per the dispatch-latency findings in DESIGN §8): when the policy
-/// is parallel and the projected frontier reaches it, the frontier round
-/// engine strips the bulk positive-gain moves, then the sequential
-/// boundary pass polishes from the rounds' final frontier. Below it —
-/// always on the finest levels, where the boundary is thin — the level
-/// runs the sequential boundary pass alone. Each level's balance comes
-/// from `cfg`. One [`ParRefWorkspace`] serves every level.
+/// `crossover` or, when `None`, [`default_crossover`]: parallel rounds,
+/// then the sequential boundary FM, once the projected frontier reaches
+/// it under a parallel policy, and the sequential FM alone below it —
+/// always on the finest levels, where the boundary is thin. One
+/// [`ParRefWorkspace`] serves every level.
 pub fn fm_uncoarsen_frac_hybrid(
     policy: &ExecPolicy,
     h: &Hierarchy,
@@ -735,23 +871,35 @@ pub fn fm_uncoarsen_frac_hybrid(
     let coarse_cfg = cfg.with_vertex_slack();
     let coarsest = h.coarsest();
     let mut part = crate::ggg::greedy_graph_growing_frac(coarsest, seed, frac);
-    let mut outcome = fm_refine(coarsest, &mut part, &coarse_cfg, frac, None, trace);
+    let bal = coarse_cfg.split(coarsest, frac);
+    let mut outcome = fm_refine(coarsest, &mut part, &bal, None, "fm", trace);
+    if h.num_levels() == 0 {
+        let bal = cfg.split(coarsest, frac);
+        fm_refine(
+            coarsest,
+            &mut part,
+            &bal,
+            Some(&outcome.boundary),
+            "fm",
+            trace,
+        );
+    }
     let crossover = crossover.unwrap_or_else(|| default_crossover(policy));
     let mut ws = ParRefWorkspace::new();
     for level in (0..h.num_levels()).rev() {
         part = h.interpolate_level(level, &part);
         let frontier = h.project_frontier_ids(level, &outcome.boundary);
-        // Tighten to the caller's balance on the finest level only.
+        let g = h.graph_above(level);
         let level_cfg = if level == 0 { cfg } else { &coarse_cfg };
         outcome = rounds_then_polish(
             policy,
-            h.graph_above(level),
+            g,
             &mut part,
-            level_cfg,
+            &level_cfg.split(g, frac),
             crossover,
-            frac,
             Some(&frontier),
             &mut ws,
+            ("parref", "fm"),
             trace,
         );
     }
@@ -775,7 +923,8 @@ mod tests {
         let mut part: Vec<u32> = (0..20).map(|i| i % 2).collect();
         let before = edge_cut(&g, &part);
         let trace = TraceCollector::disabled();
-        let after = fm_refine(&g, &mut part, &FmConfig::default(), 0.5, None, &trace).cut;
+        let bal = FmConfig::default().split(&g, 0.5);
+        let after = fm_refine(&g, &mut part, &bal, None, "fm", &trace).cut;
         assert!(after <= before);
         assert_eq!(after, edge_cut(&g, &part));
         assert!(after <= 5, "cut {after} after refinement of {before}");
@@ -809,36 +958,69 @@ mod tests {
         // 6-path, pass 1 repairs 2:4 to 3:3 at the unchanged cut of 2;
         // only a second pass can slide the boundary to the optimal cut 1.
         let g = gen::path(6);
-        let start = vec![0, 1, 1, 1, 1, 0];
-        let cfg = FmConfig {
-            max_passes: 8,
-            epsilon: 0.0,
-            vertex_slack: false,
-        };
-
-        let mut part1 = start.clone();
-        let cut_one_pass = fm_refine(
-            &g,
-            &mut part1,
-            &FmConfig {
-                max_passes: 1,
-                ..cfg.clone()
-            },
-            0.5,
-            None,
-            &TraceCollector::disabled(),
-        )
-        .cut;
-
-        let mut part = start;
-        let cut = fm_refine(&g, &mut part, &cfg, 0.5, None, &TraceCollector::disabled()).cut;
+        let mut part = vec![0, 1, 1, 1, 1, 0];
+        let trace = TraceCollector::enabled();
+        let bal = Balance::split(&g, 0.0, false, 0.5);
+        let cut = fm_refine(&g, &mut part, &bal, None, "fm", &trace).cut;
         let (w0, w1) = part_weights(&g, &part);
         assert_eq!((w0, w1), (3, 3), "balance repaired");
-        assert!(
-            cut_one_pass > cut,
-            "instance must need a second pass: pass-1 cut {cut_one_pass}, final {cut}"
-        );
         assert_eq!(cut, 1, "second pass reaches the optimal path cut");
+        let report = trace.report();
+        assert!(
+            report.spans.iter().any(|s| s.path == "fm/pass1"),
+            "refinement stopped after the repairing pass"
+        );
+    }
+
+    #[test]
+    fn bisection_never_empties_a_side() {
+        // Vertex slack lets either side take both vertices of a 2-path,
+        // and emptying a side would remove the one cut edge; the count
+        // guard forbids it.
+        let g = gen::path(2);
+        let mut part = vec![0, 1];
+        let bal = Balance::split(&g, 0.02, true, 0.5);
+        let cut = fm_refine(&g, &mut part, &bal, None, "fm", &TraceCollector::disabled()).cut;
+        assert_eq!(part, [0, 1], "a side was emptied");
+        assert_eq!(cut, 1);
+    }
+
+    #[test]
+    fn level_less_bisections_meet_the_strict_cap() {
+        // Graphs at or below the coarsening cutoff have no level 0 to
+        // tighten the slack balance on; the driver must still end inside
+        // the caller's strict caps.
+        let mut graphs = Vec::new();
+        for n in [10usize, 11, 17, 30, 50] {
+            graphs.push(gen::path(n));
+            graphs.push(gen::cycle(n));
+            graphs.push(gen::star(n));
+        }
+        for n in [10usize, 11, 20] {
+            graphs.push(gen::complete(n));
+        }
+        let cfg = FmConfig::default();
+        for g in &graphs {
+            for seed in 0..5 {
+                let r = fm_bisect(
+                    &ExecPolicy::serial(),
+                    g,
+                    &CoarsenOptions::default(),
+                    &cfg,
+                    seed,
+                );
+                assert_eq!(r.levels, 0, "n = {} coarsened", g.n());
+                let (w0, w1) = part_weights(g, &r.part);
+                let bal = cfg.split(g, 0.5);
+                assert_eq!(
+                    bal.excess(&[w0, w1]),
+                    0,
+                    "n = {} seed {seed}: sides {w0}/{w1} exceed {:?}",
+                    g.n(),
+                    bal.strict
+                );
+            }
+        }
     }
 
     #[test]
@@ -847,18 +1029,8 @@ mod tests {
         // FM would love to move everything to one side (cut -> 0); the
         // balance limit must prevent it.
         let mut part: Vec<u32> = (0..10).map(|i| u32::from(i >= 5)).collect();
-        fm_refine(
-            &g,
-            &mut part,
-            &FmConfig {
-                max_passes: 4,
-                epsilon: 0.0,
-                vertex_slack: false,
-            },
-            0.5,
-            None,
-            &TraceCollector::disabled(),
-        );
+        let bal = Balance::split(&g, 0.0, false, 0.5);
+        fm_refine(&g, &mut part, &bal, None, "fm", &TraceCollector::disabled());
         let (w0, w1) = part_weights(&g, &part);
         assert_eq!(
             w0.max(w1),
@@ -887,7 +1059,8 @@ mod tests {
         }
         let before = edge_cut(&g, &part);
         let trace = TraceCollector::disabled();
-        let after = fm_refine(&g, &mut part, &FmConfig::default(), 0.5, None, &trace).cut;
+        let bal = FmConfig::default().split(&g, 0.5);
+        let after = fm_refine(&g, &mut part, &bal, None, "fm", &trace).cut;
         assert!(
             after < before / 2,
             "FM should drastically improve random cuts: {before} -> {after}"
@@ -938,19 +1111,8 @@ mod tests {
         let mut g = gen::path(6);
         g.set_vwgt(vec![5, 1, 1, 1, 1, 5]);
         let mut part = vec![0, 0, 0, 1, 1, 1];
-        let cut = fm_refine(
-            &g,
-            &mut part,
-            &FmConfig {
-                max_passes: 4,
-                epsilon: 0.1,
-                vertex_slack: false,
-            },
-            0.5,
-            None,
-            &TraceCollector::disabled(),
-        )
-        .cut;
+        let bal = Balance::split(&g, 0.1, false, 0.5);
+        let cut = fm_refine(&g, &mut part, &bal, None, "fm", &TraceCollector::disabled()).cut;
         assert_eq!(cut, edge_cut(&g, &part));
         let (w0, w1) = part_weights(&g, &part);
         assert!(w0.max(w1) <= 8, "weights {w0}/{w1} exceed the 10% slack");

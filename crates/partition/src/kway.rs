@@ -13,8 +13,8 @@
 //! the sequential boundary FM polish — so recursive k-way inherits the
 //! parallel engine on the top-level (largest) subproblems, where it pays,
 //! and stays on the sequential fast path for the small deep-recursion
-//! pieces. The direct k-way post-pass runs the same engine over all `k`
-//! labels.
+//! pieces. The direct k-way post-pass runs the same rounds and the same
+//! sequential FM over all `k` labels.
 //!
 //! Below the top bisection, the two sides of every split are independent
 //! subproblems; under a parallel policy they recurse concurrently, one
@@ -194,7 +194,9 @@ pub fn kway_empty_parts(part: &[u32], k: usize) -> usize {
 /// Label `g`'s vertices `0..k` by recursive bisection: split `k` into
 /// `k0 = ⌈k/2⌉` and `k1 = ⌊k/2⌋`, bisect `g` with side 0 targeting
 /// `k0/k` of the weight (so odd `k` stays balanced), label each side with
-/// [`label_side`], and offset side 1's labels by `k0`.
+/// [`label_side`], and offset side 1's labels by `k0`. A side with fewer
+/// vertices than its share of labels (a heavy vertex held alone, say)
+/// takes one label per vertex and hands the surplus to the other side.
 ///
 /// The two sides are independent, so they run as one two-task
 /// [`parallel_for_weighted`] dispatch whose team is sized by the lighter
@@ -229,6 +231,17 @@ fn recurse(
     if n0 == 0 || n0 == g.n() {
         return direct_kway_split(g, k);
     }
+    // A side never takes more labels than it has vertices; the surplus
+    // goes to the other side.
+    let n1 = g.n() - n0;
+    let k0 = if n0 < k0 {
+        n0
+    } else if n1 < k1 {
+        k - n1
+    } else {
+        k0
+    };
+    let k1 = k - k0;
 
     // Each side's vertices, its label count, and its induced subgraph when
     // it needs more than one label.

@@ -10,13 +10,13 @@
 //! per-vertex scratch lives in a [`ParRefWorkspace`] reused across rounds
 //! *and* levels; the round loop allocates nothing proportional to `n`.
 //!
-//! Two drivers run the engine, each under its own trace, gauge and kernel
-//! names: [`rounds_then_polish`] (`parref/*`, k = 2: every hybrid
-//! uncoarsening level and the spectral FM polish) and
-//! [`crate::kwayref::kway_direct_refine`] (`kwayref/*`, the k-way
-//! post-pass). Both follow the rounds with a sequential FM polish seeded by
-//! the final frontier, mirroring how production partitioners combine the
-//! two.
+//! One driver, [`rounds_then_polish`], runs the engine and then polishes
+//! with the sequential boundary FM ([`crate::fm::fm_refine`]) from the
+//! rounds' final frontier, mirroring how production partitioners combine
+//! the two. It serves two callers under their own trace, gauge and kernel
+//! names: bisection (`parref/*` rounds and an `fm/*` polish, on every
+//! hybrid uncoarsening level and in the spectral FM polish) and the k-way
+//! post-pass [`crate::kwayref::kway_direct_refine`] (`kwayref/*`).
 //!
 //! # Round structure and determinism
 //!
@@ -76,7 +76,7 @@
 //! `(excess, cut)` than the entry partition. A per-part vertex count guards
 //! every move, so no part is ever emptied.
 
-use crate::fm::{entry_frontier, fm_refine, Balance, FmConfig, FmRefineOutcome};
+use crate::fm::{entry_frontier, fm_refine, Balance, FmRefineOutcome};
 use mlcg_graph::metrics::edge_cut;
 use mlcg_graph::{Csr, VId};
 use mlcg_par::exec::HOST_GRAIN;
@@ -233,8 +233,7 @@ pub struct ParRefOutcome {
 }
 
 /// Frontier-based parallel refinement rounds at a fixed level, for
-/// `bal.parts() ≥ 2` labels — the engine behind [`rounds_then_polish`] and
-/// [`crate::kwayref::kway_direct_refine`].
+/// `bal.parts() ≥ 2` labels — the engine behind [`rounds_then_polish`].
 ///
 /// `part` must hold labels in `0..bal.parts()`. `seed_frontier`, when
 /// given, must cover every vertex with a cut edge (a superset is fine);
@@ -656,49 +655,50 @@ fn repair_balance(
     }
 }
 
-/// One bisection refinement through the crossover. On a parallel policy
-/// whose entry frontier (`seed_frontier`, or all `n` vertices when `None`)
-/// holds at least `crossover` vertices, the frontier rounds strip the bulk
-/// positive gains first, handing off once the frontier shrinks below
-/// `crossover`; the sequential boundary FM then polishes from the rounds'
-/// final frontier. Below the crossover the sequential FM runs alone from
-/// `seed_frontier`.
+/// One refinement through the crossover, for any `bal.parts() ≥ 2`: on a
+/// parallel policy whose entry frontier (`seed_frontier`, or all `n`
+/// vertices) holds at least `crossover` vertices — normally
+/// [`default_crossover`] — the frontier rounds strip the bulk positive
+/// gains, handing off once the frontier shrinks below `crossover`, and the
+/// sequential boundary FM polishes from their final frontier; below it the
+/// sequential FM runs alone. Both run under `bal`.
 ///
-/// This is the per-level step of the hybrid uncoarsening
-/// ([`crate::fm::fm_uncoarsen_frac_hybrid`]) and the spectral FM polish.
-/// The crossover is normally [`default_crossover`].
+/// `layers` names the `(rounds, polish)` trace layers: `("parref", "fm")`
+/// for a bisection (each level of [`crate::fm::fm_uncoarsen_frac_hybrid`]
+/// and the spectral FM polish), `("kwayref", "kwayref")` for
+/// [`crate::kwayref::kway_direct_refine`].
 #[allow(clippy::too_many_arguments)]
 pub fn rounds_then_polish(
     policy: &ExecPolicy,
     g: &Csr,
     part: &mut [u32],
-    fm_cfg: &FmConfig,
+    bal: &Balance,
     crossover: usize,
-    frac: f64,
     seed_frontier: Option<&[u32]>,
     ws: &mut ParRefWorkspace,
+    layers: (&'static str, &'static str),
     trace: &TraceCollector,
 ) -> FmRefineOutcome {
+    let (rounds, polish) = layers;
     let entry = seed_frontier.map_or(g.n(), <[u32]>::len);
     if policy.backend == Backend::Serial || entry < crossover {
-        return fm_refine(g, part, fm_cfg, frac, seed_frontier, trace);
+        return fm_refine(g, part, bal, seed_frontier, polish, trace);
     }
-    let bal = Balance::split(g, fm_cfg.epsilon, fm_cfg.vertex_slack, frac);
-    let rounds = {
-        let _mem = trace.heap_scope(|| "parref".to_string());
+    let out = {
+        let _mem = trace.heap_scope(|| rounds.to_string());
         parallel_refine_rounds(
             policy,
             g,
             part,
-            &bal,
+            bal,
             crossover,
             seed_frontier,
             ws,
-            "parref",
+            rounds,
             trace,
         )
     };
-    fm_refine(g, part, fm_cfg, frac, Some(&rounds.frontier), trace)
+    fm_refine(g, part, bal, Some(&out.frontier), polish, trace)
 }
 
 #[cfg(test)]
@@ -765,14 +765,10 @@ mod tests {
     fn respects_balance_envelope() {
         let g = gen::complete(16);
         let mut part: Vec<u32> = (0..16).map(|i| u32::from(i >= 8)).collect();
-        let out = rounds(&ExecPolicy::host(), &g, &mut part, &halves(&g, 0.0));
-        let polish = FmConfig {
-            max_passes: 2,
-            epsilon: 0.0,
-            vertex_slack: false,
-        };
+        let bal = halves(&g, 0.0);
+        let out = rounds(&ExecPolicy::host(), &g, &mut part, &bal);
         let trace = TraceCollector::disabled();
-        fm_refine(&g, &mut part, &polish, 0.5, Some(&out.frontier), &trace);
+        fm_refine(&g, &mut part, &bal, Some(&out.frontier), "fm", &trace);
         let (w0, w1) = part_weights(&g, &part);
         assert_eq!(w0.max(w1), 8, "eps 0 requires exact balance on even totals");
     }

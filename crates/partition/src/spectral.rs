@@ -85,8 +85,10 @@ pub fn spectral_bisect(
         let _mem = trace.heap_scope(|| "parref/polish".to_string());
         let crossover = default_crossover(policy);
         let mut ws = ParRefWorkspace::new();
+        let bal = fm_cfg.split(g, 0.5);
+        let layers = ("parref", "fm");
         rounds_then_polish(
-            policy, g, &mut part, fm_cfg, crossover, 0.5, None, &mut ws, &trace,
+            policy, g, &mut part, &bal, crossover, None, &mut ws, layers, &trace,
         );
     }
     let refine_seconds = span.finish();
@@ -212,7 +214,6 @@ mod tests {
             &opts(MapMethod::Hec),
             &SpectralConfig {
                 fm_polish: Some(crate::fm::FmConfig {
-                    max_passes: 8,
                     epsilon: 0.0,
                     vertex_slack: false,
                 }),

@@ -127,19 +127,15 @@ fn envelope_holds_with_polish() {
     run_cases(24, 0xC3, |gen| {
         let g = suite_graph(gen);
         let seed = gen.u64();
-        // The rounds, then a two-pass boundary FM seeded by their frontier.
-        let polish = FmConfig {
-            max_passes: 2,
-            epsilon: EPSILON,
-            vertex_slack: false,
-        };
+        // The rounds, then the boundary FM seeded by their frontier.
         let trace = TraceCollector::disabled();
         let bound = strict_bound(&g, EPSILON);
         for policy in ExecPolicy::all_test_policies() {
             let mut p = balanced_random_part(g.n(), seed);
             let before = edge_cut(&g, &p);
             let out = rounds(&policy, &g, &mut p);
-            let after = fm_refine(&g, &mut p, &polish, 0.5, Some(&out.frontier), &trace).cut;
+            let bal = Balance::split(&g, EPSILON, false, 0.5);
+            let after = fm_refine(&g, &mut p, &bal, Some(&out.frontier), "fm", &trace).cut;
             let (w0, w1) = part_weights(&g, &p);
             assert!(
                 w0.max(w1) <= bound,

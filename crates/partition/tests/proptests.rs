@@ -58,8 +58,8 @@ fn fractional_fm_respects_its_target() {
         let seed = gen.u64();
         let frac = gen.usize_in(30, 71) as f64 / 100.0;
         let mut part = balanced_random_part(g.n(), seed);
-        let cfg = FmConfig::default();
-        let cut = fm_refine(&g, &mut part, &cfg, frac, None, &TraceCollector::disabled()).cut;
+        let bal = Balance::split(&g, 0.02, false, frac);
+        let cut = fm_refine(&g, &mut part, &bal, None, "fm", &TraceCollector::disabled()).cut;
         assert_eq!(cut, edge_cut(&g, &part));
         let total = g.total_vwgt();
         let (w0, w1) = part_weights(&g, &part);
@@ -176,7 +176,8 @@ fn boundary_fm_incremental_cut_matches_edge_cut() {
         let seed = gen.u64();
         let mut part = balanced_random_part(g.n(), seed);
         let trace = TraceCollector::disabled();
-        let cut = fm_refine(&g, &mut part, &FmConfig::default(), 0.5, None, &trace).cut;
+        let bal = Balance::split(&g, 0.02, false, 0.5);
+        let cut = fm_refine(&g, &mut part, &bal, None, "fm", &trace).cut;
         assert_eq!(cut, edge_cut(&g, &part), "incremental cut drifted");
     });
 }
@@ -188,7 +189,8 @@ fn boundary_fm_keeps_the_balance_envelope() {
         let seed = gen.u64();
         let mut part = balanced_random_part(g.n(), seed);
         let cfg = FmConfig::default();
-        let cut = fm_refine(&g, &mut part, &cfg, 0.5, None, &TraceCollector::disabled()).cut;
+        let bal = Balance::split(&g, cfg.epsilon, cfg.vertex_slack, 0.5);
+        let cut = fm_refine(&g, &mut part, &bal, None, "fm", &TraceCollector::disabled()).cut;
         assert_eq!(cut, edge_cut(&g, &part));
         let total = g.total_vwgt();
         let max_vwgt = g.vwgt().iter().copied().max().unwrap_or(1);

@@ -129,8 +129,14 @@ fn fm_never_increases_cut_and_stays_balanced() {
         let before = edge_cut(&g, &part);
         let trace = TraceCollector::disabled();
         let cfg = FmConfig::default();
+        let bal = multilevel_coarsen::partition::fm::Balance::split(
+            &g,
+            cfg.epsilon,
+            cfg.vertex_slack,
+            0.5,
+        );
         let after =
-            multilevel_coarsen::partition::fm::fm_refine(&g, &mut part, &cfg, 0.5, None, &trace)
+            multilevel_coarsen::partition::fm::fm_refine(&g, &mut part, &bal, None, "fm", &trace)
                 .cut;
         assert!(after <= before, "FM worsened {before} -> {after}");
         assert_eq!(after, edge_cut(&g, &part));
