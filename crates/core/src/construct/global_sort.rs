@@ -8,7 +8,7 @@ use mlcg_graph::{Csr, VId, Weight};
 use mlcg_par::atomic::as_atomic_usize;
 use mlcg_par::scan::exclusive_scan;
 use mlcg_par::sort::par_radix_sort_pairs;
-use mlcg_par::{parallel_for, profile, ExecPolicy, TraceCollector};
+use mlcg_par::{parallel_for, parallel_for_mut, profile, ExecPolicy, TraceCollector};
 use std::sync::atomic::Ordering;
 
 /// Level-reused scratch for the global-sort strategy: the packed triple
@@ -45,21 +45,14 @@ pub fn construct(
     let offsets = &mut ws.offsets;
     offsets.clear();
     offsets.resize(n + 1, 0);
-    {
-        let base = offsets.as_mut_ptr() as usize;
-        parallel_for(policy, n, move |u| {
-            let cu = map[u];
-            let c = g
-                .neighbors(u as VId)
-                .iter()
-                .filter(|&&v| map[v as usize] != cu)
-                .count();
-            // SAFETY: disjoint writes per index.
-            unsafe {
-                (base as *mut usize).add(u).write(c);
-            }
-        });
-    }
+    parallel_for_mut(policy, &mut offsets[..n], |u, c| {
+        let cu = map[u];
+        *c = g
+            .neighbors(u as VId)
+            .iter()
+            .filter(|&&v| map[v as usize] != cu)
+            .count();
+    });
     let total = exclusive_scan(policy, offsets);
     let keys = &mut ws.keys;
     let vals = &mut ws.vals;
@@ -99,14 +92,9 @@ pub fn construct(
     head.resize(total + 1, 0);
     {
         let _k = profile::kernel("head_flags");
-        let base = head.as_mut_ptr() as usize;
-        let keys_ref: &[u64] = keys;
-        parallel_for(policy, total, move |i| {
-            let h = usize::from(i == 0 || keys_ref[i] != keys_ref[i - 1]);
-            // SAFETY: disjoint writes per index.
-            unsafe {
-                (base as *mut usize).add(i).write(h);
-            }
+        let keys: &[u64] = keys;
+        parallel_for_mut(policy, &mut head[..total], |i, h| {
+            *h = usize::from(i == 0 || keys[i] != keys[i - 1]);
         });
     }
     // Inclusive scan: head[i] becomes (#heads in 0..=i), so the run index

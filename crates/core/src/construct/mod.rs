@@ -27,7 +27,7 @@ pub mod vertex;
 use crate::mapping::Mapping;
 use mlcg_graph::{Csr, VWeight};
 use mlcg_par::{
-    parallel_fold_chunks, parallel_for, parallel_for_chunks, profile, ExecPolicy, TraceCollector,
+    parallel_fold_chunks, parallel_for, parallel_for_mut, profile, ExecPolicy, TraceCollector,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
@@ -268,20 +268,9 @@ pub fn aggregate_vertex_weights_in(
             }
         },
     );
-    {
-        let base = vwgt.as_mut_ptr() as usize;
-        let parts_ref = &parts;
-        parallel_for_chunks(policy, nc, move |range| {
-            for c in range {
-                let mut s = 0u64;
-                for p in parts_ref {
-                    s += p[c];
-                }
-                // SAFETY: disjoint writes per coarse vertex.
-                unsafe { (base as *mut u64).add(c).write(s) };
-            }
-        });
-    }
+    parallel_for_mut(policy, &mut vwgt, |c, w| {
+        *w = parts.iter().map(|p| p[c]).sum()
+    });
     let mut back = pool_m.into_inner().unwrap();
     back.extend(parts);
     ws.vwgt_pool = back;

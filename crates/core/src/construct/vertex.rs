@@ -56,7 +56,8 @@ use crate::mapping::Mapping;
 use mlcg_graph::{Csr, Offsets, VId, Weight};
 use mlcg_par::scan::exclusive_scan;
 use mlcg_par::{
-    parallel_for_chunks, parallel_for_weighted, pool, profile, ExecPolicy, TraceCollector,
+    parallel_for_chunks, parallel_for_mut, parallel_for_weighted, parallel_for_weighted_mut, pool,
+    profile, ExecPolicy, TraceCollector,
 };
 use std::ops::Range;
 use std::sync::Mutex;
@@ -302,34 +303,6 @@ fn sort_pairs(device: bool, buf: &mut Vec<(VId, Weight)>, len: usize) {
     }
 }
 
-/// Run `f(i, &mut items[i])` for every index, one claim per item, with the
-/// worker team sized by `work` (the underlying element count).
-fn for_each_mut<T: Send>(
-    policy: &ExecPolicy,
-    work: usize,
-    items: &mut [T],
-    f: impl Fn(usize, &mut T) + Sync,
-) {
-    let base = items.as_mut_ptr() as usize;
-    parallel_for_weighted(policy, work, items.len(), |i| {
-        // SAFETY: every index is claimed exactly once per dispatch, and
-        // `items` stays exclusively borrowed until the dispatch returns.
-        f(i, unsafe { &mut *(base as *mut T).add(i) })
-    });
-}
-
-/// Set `out[i] = f(i)` for every index, in parallel chunks.
-fn fill_with(policy: &ExecPolicy, out: &mut [usize], f: impl Fn(usize) -> usize + Sync) {
-    let base = out.as_mut_ptr() as usize;
-    parallel_for_chunks(policy, out.len(), |r| {
-        for i in r {
-            // SAFETY: the chunks of one dispatch are disjoint, and `out`
-            // stays exclusively borrowed until the dispatch returns.
-            unsafe { (base as *mut usize).add(i).write(f(i)) };
-        }
-    });
-}
-
 /// Pass 1 of a stable parallel counting sort over `nblocks` ordered blocks
 /// into `nbuckets` buckets: `count(b, h)` adds block `b`'s items to its
 /// own zeroed histogram row `h`. Returns the histogram rows with the
@@ -347,12 +320,12 @@ fn block_counts<'h>(
     hist.clear();
     hist.resize(nblocks * nbuckets, 0);
     let mut rows: Vec<&mut [usize]> = hist.chunks_mut(nbuckets).collect();
-    for_each_mut(policy, items, &mut rows, |b, h| count(b, h));
+    parallel_for_weighted_mut(policy, items, &mut rows, |b, h| count(b, h));
     offs.clear();
     offs.resize(nbuckets + 1, 0);
     let view: &[&mut [usize]] = &rows;
-    fill_with(policy, &mut offs[..nbuckets], |k| {
-        view.iter().map(|h| h[k]).sum()
+    parallel_for_mut(policy, &mut offs[..nbuckets], |k, o| {
+        *o = view.iter().map(|h| h[k]).sum();
     });
     rows
 }
@@ -489,7 +462,7 @@ pub fn construct(
         sc.members.clear();
         sc.members.resize(n, 0);
         let base = sc.members.as_mut_ptr() as usize;
-        for_each_mut(policy, n, &mut rows, |b, cur| {
+        parallel_for_weighted_mut(policy, n, &mut rows, |b, cur| {
             for u in block(b) {
                 let c = map[u] as usize;
                 // SAFETY: counting-sort slots are unique, and `members`
@@ -501,11 +474,11 @@ pub fn construct(
         sc.wpre.clear();
         sc.wpre.resize(nc + 1, 0);
         let (start, members) = (&sc.start, &sc.members);
-        fill_with(policy, &mut sc.wpre[..nc], |c| {
-            members[start[c]..start[c + 1]]
+        parallel_for_mut(policy, &mut sc.wpre[..nc], |c, w| {
+            *w = members[start[c]..start[c + 1]]
                 .iter()
                 .map(|&u| xadj.range(u as usize).len())
-                .sum()
+                .sum();
         });
         exclusive_scan(policy, &mut sc.wpre);
     }
@@ -544,7 +517,7 @@ pub fn construct(
         // ties on aggregate id.
         let rank = |c: usize| ((wpre[c + 1] - wpre[c]) as u128) << 64 | c as u128;
         let (start, members, tasks) = (&*start, &*members, &*tasks);
-        for_each_mut(policy, adj.len(), runs, |ti, run| {
+        parallel_for_weighted_mut(policy, adj.len(), runs, |ti, run| {
             let task = &tasks[ti];
             run.reset(task.rows.clone());
             with_acc(&mut |acc| {
@@ -582,7 +555,7 @@ pub fn construct(
             groups.push(group);
             (rest, at) = (tail, s.end);
         }
-        for_each_mut(policy, adj.len(), &mut groups, |_, group| {
+        parallel_for_weighted_mut(policy, adj.len(), &mut groups, |_, group| {
             with_acc(&mut |acc| {
                 acc.buf.clear();
                 for piece in group.iter() {
@@ -640,7 +613,7 @@ pub fn construct(
         block_cursors(policy, &mut rows, offs);
         (out_adj, out_wgt) = (vec![0; total], vec![0; total]);
         let (ab, wb) = (out_adj.as_mut_ptr() as usize, out_wgt.as_mut_ptr() as usize);
-        for_each_mut(policy, kept, &mut rows, |b, cur| {
+        parallel_for_weighted_mut(policy, kept, &mut rows, |b, cur| {
             for run in block(b) {
                 for (c, k) in run.rows() {
                     for e in k {

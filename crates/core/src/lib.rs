@@ -10,7 +10,7 @@
 //! | Method | Paper reference | Notes |
 //! |---|---|---|
 //! | [`MapMethod::Hec`] | Algorithm 4 | parallel Heavy Edge Coarsening by deterministic reservations (same labels under every policy) |
-//! | [`MapMethod::Hec2`] | Algorithm 9 (ext. report) | race-free two-array variant, no 2-cycle collapse |
+//! | [`MapMethod::Hec2`] | Algorithm 9 (ext. report) | race-free two-array variant, no 2-cycle collapse; each target keeps its earliest proposer by fetch-min (same labels under every policy) |
 //! | [`MapMethod::Hec3`] | Algorithm 5 | pseudoforest view: root marking + pointer jumping |
 //! | [`MapMethod::Hem`] | Algorithm 10 (ext.) | multi-pass heavy-edge *matching*, H recomputed per pass |
 //! | [`MapMethod::MtMetis`] | Algorithms 11–13 (ext.) | HEM plus two-hop matching: leaves, twins, relatives |

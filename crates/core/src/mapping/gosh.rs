@@ -14,14 +14,14 @@
 //! low-synchronization HEC3 phases ("less indirection, lower fine-grained
 //! synchronization, skips high-degree vertex adjacencies").
 
-use super::util::{heavy_neighbor_where, prepare_premark, relabel, relabel_premarked};
+use super::hec23::hec3_phases;
+use super::util::{heavy_neighbor_where, relabel};
 use super::workspace::MapWorkspace;
 use super::{MapStats, Mapping, UNMAPPED};
 use mlcg_graph::{Csr, VId};
 use mlcg_par::atomic::as_atomic_u32;
-use mlcg_par::perm::{invert_permutation_in, random_permutation_in};
 use mlcg_par::rng::hash_index;
-use mlcg_par::{parallel_count, parallel_for, ExecPolicy};
+use mlcg_par::{parallel_count, parallel_for, parallel_for_mut, ExecPolicy};
 use std::sync::atomic::Ordering;
 
 /// Two vertices are both "high degree" when each exceeds this multiple of
@@ -43,17 +43,13 @@ fn priority(g: &Csr, seed: u64, u: usize) -> (usize, u64, usize) {
 
 /// GOSH coarsening (Algorithm 15 parallelization) through a level-reused
 /// workspace.
-pub fn gosh(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
+pub(crate) fn gosh(
+    policy: &ExecPolicy,
+    g: &Csr,
+    seed: u64,
+    ws: &mut MapWorkspace,
+) -> (Mapping, MapStats) {
     let n = g.n();
-    if n <= 1 {
-        return (
-            Mapping {
-                map: vec![0; n.min(1)],
-                n_coarse: n.min(1),
-            },
-            MapStats::default(),
-        );
-    }
     let tau = high_degree_threshold(g);
     let mut m = vec![UNMAPPED; n];
     let mut stats = MapStats::default();
@@ -127,119 +123,24 @@ pub fn gosh(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (
 /// The new GOSH+HEC hybrid (Algorithm 16): weighted heavy neighbors with
 /// high-degree adjacencies skipped, executed via the HEC3 phases through a
 /// level-reused workspace.
-pub fn gosh_hec(
+pub(crate) fn gosh_hec(
     policy: &ExecPolicy,
     g: &Csr,
     seed: u64,
     ws: &mut MapWorkspace,
 ) -> (Mapping, MapStats) {
-    let n = g.n();
-    if n <= 1 {
-        return (
-            Mapping {
-                map: vec![0; n.min(1)],
-                n_coarse: n.min(1),
-            },
-            MapStats::default(),
-        );
-    }
     let tau = high_degree_threshold(g);
     // Heavy neighbor, skipping high-degree/high-degree adjacencies.
-    MapWorkspace::filled(&mut ws.heavy, n, UNMAPPED);
-    {
-        let base = ws.heavy.as_mut_ptr() as usize;
-        parallel_for(policy, n, move |u| {
-            let du = g.degree(u as VId);
-            // A vertex with no neighbor points at itself and aggregates
-            // alone (a self-loop roots its HEC3 pseudotree).
-            let pick = heavy_neighbor_where(g, u as VId, |v| !(du > tau && g.degree(v) > tau))
-                .or_else(|| heavy_neighbor_where(g, u as VId, |_| true))
-                .unwrap_or(u as VId);
-            // SAFETY: disjoint writes per index.
-            unsafe {
-                (base as *mut u32).add(u).write(pick);
-            }
-        });
-    }
-    // HEC3-style phases over the filtered heavy array.
-    random_permutation_in(policy, n, seed, &mut ws.perm_keys, &mut ws.queue);
-    {
-        let (queue, pos) = (&ws.queue, &mut ws.pos);
-        invert_permutation_in(policy, queue, pos);
-    }
-    let mut m = vec![UNMAPPED; n];
-    {
-        let base = m.as_mut_ptr() as usize;
-        let (h_ref, pos_ref) = (&ws.heavy, &ws.pos);
-        parallel_for(policy, n, move |u| {
-            let v = h_ref[u] as usize;
-            if h_ref[v] as usize == u {
-                let root = if pos_ref[u] <= pos_ref[v] { u } else { v };
-                // SAFETY: both endpoints write the same value.
-                unsafe {
-                    (base as *mut u32).add(u).write(root as u32);
-                }
-            }
-        });
-    }
-    {
-        let m_at = as_atomic_u32(&mut m);
-        let h_ref = &ws.heavy;
-        parallel_for(policy, n, move |u| {
-            let v = h_ref[u] as usize;
-            if m_at[v].load(Ordering::Relaxed) == UNMAPPED {
-                let _ = m_at[v].compare_exchange(
-                    UNMAPPED,
-                    v as u32,
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                );
-            }
-        });
-    }
-    {
-        MapWorkspace::snapshot(&mut ws.snap, &m);
-        let base = m.as_mut_ptr() as usize;
-        let (h_ref, snap) = (&ws.heavy, &ws.snap);
-        parallel_for(policy, n, move |u| {
-            if snap[u] == UNMAPPED {
-                let root = snap[h_ref[u] as usize];
-                debug_assert_ne!(root, UNMAPPED);
-                // SAFETY: disjoint writes.
-                unsafe {
-                    (base as *mut u32).add(u).write(root);
-                }
-            }
-        });
-    }
-    // Final pointer-jump sweep, with the relabel flag-mark fused in.
-    {
-        MapWorkspace::snapshot(&mut ws.snap, &m);
-        prepare_premark(ws, n);
-        let base = m.as_mut_ptr() as usize;
-        let flag_base = ws.flag.as_mut_ptr() as usize;
-        let snap = &ws.snap;
-        parallel_for(policy, n, move |u| {
-            let mut r = snap[u] as usize;
-            while snap[r] as usize != r {
-                r = snap[snap[r] as usize] as usize;
-            }
-            // SAFETY: disjoint label writes per index; flag writes are
-            // idempotent (racing threads all write 1).
-            unsafe {
-                (base as *mut u32).add(u).write(r as u32);
-                (flag_base as *mut u32).add(r).write(1);
-            }
-        });
-    }
-    (
-        relabel_premarked(policy, m, ws),
-        MapStats {
-            passes: 4,
-            resolved_per_pass: vec![n],
-            resolved_overflow: 0,
-        },
-    )
+    MapWorkspace::filled(&mut ws.heavy, g.n(), UNMAPPED);
+    parallel_for_mut(policy, &mut ws.heavy, |u, hu| {
+        let du = g.degree(u as VId);
+        // A vertex with no neighbor points at itself and aggregates alone
+        // (a self-loop roots its HEC3 pseudotree).
+        *hu = heavy_neighbor_where(g, u as VId, |v| !(du > tau && g.degree(v) > tau))
+            .or_else(|| heavy_neighbor_where(g, u as VId, |_| true))
+            .unwrap_or(u as VId);
+    });
+    hec3_phases(policy, seed, ws)
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@
 //! the serial policy that is the whole run. [`MapStats`] counts each round,
 //! and the closing sweep, as a pass.
 
-use super::util::{heavy_neighbors, prepare_premark, relabel_premarked};
+use super::util::{heavy_neighbors, premark_flags, relabel_premarked};
 use super::workspace::MapWorkspace;
 use super::{MapStats, Mapping, UNMAPPED};
 use mlcg_graph::Csr;
@@ -59,17 +59,13 @@ const DEFERRED: u32 = u32::MAX - 1;
 /// Run parallel HEC through a level-reused workspace. A vertex with no
 /// neighbor becomes a singleton aggregate. The result depends only on the
 /// graph and `seed`, not on the policy.
-pub fn hec(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
+pub(crate) fn hec(
+    policy: &ExecPolicy,
+    g: &Csr,
+    seed: u64,
+    ws: &mut MapWorkspace,
+) -> (Mapping, MapStats) {
     let n = g.n();
-    if n <= 1 {
-        return (
-            Mapping {
-                map: vec![0; n.min(1)],
-                n_coarse: n.min(1),
-            },
-            MapStats::default(),
-        );
-    }
     assert!(n < DEFERRED as usize, "HEC: n exceeds the label range");
     heavy_neighbors(policy, g, &mut ws.heavy);
     random_permutation_in(policy, n, seed, &mut ws.perm_keys, &mut ws.queue);
@@ -202,22 +198,17 @@ pub fn hec(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (M
 
     // Last pass: a deferred vertex joins its partner (never deferred
     // itself), with the relabel flag-mark fused in.
-    prepare_premark(ws, n);
     {
+        let flag = premark_flags(&mut ws.flag, n);
         let m_at = as_atomic_u32(&mut m);
-        let flag_base = ws.flag.as_mut_ptr() as usize;
         let h = &ws.heavy;
-        parallel_for(policy, n, move |u| {
+        parallel_for(policy, n, |u| {
             let mut l = m_at[u].load(Relaxed);
             if l == DEFERRED {
                 l = m_at[h[u] as usize].load(Relaxed);
                 m_at[u].store(l, Relaxed);
             }
-            // SAFETY: flag writes are idempotent (racing threads all
-            // write 1).
-            unsafe {
-                (flag_base as *mut u32).add(l as usize).write(1);
-            }
+            flag[l as usize].store(1, Relaxed);
         });
     }
     let mapping = relabel_premarked(policy, m, ws);

@@ -10,8 +10,8 @@
 //!   mutual (2-cycle) pairs, marks every heavy-target as a coarse root with
 //!   a single idempotent CAS, points every remaining vertex at its target's
 //!   root, and resolves any residual chains by pointer jumping.
-//! - **HEC2** omits the 2-cycle collapse and uses two plain arrays (the
-//!   `X`/`Y` of the report) so coarse ids are assigned without races: every
+//! - **HEC2** omits the 2-cycle collapse and uses two arrays (the `X`/`Y`
+//!   of the report) so coarse ids are assigned without races: every
 //!   heavy-target roots itself; everyone else joins its target.
 //!
 //! Root/representative selection is randomized through the permutation `P`
@@ -21,54 +21,53 @@
 //! a singleton aggregate.
 //!
 //! Both variants end with a full sweep that writes every final raw label,
-//! so the relabel flag-mark pass is *fused* into that sweep (an idempotent
-//! `flag[label] = 1` alongside the label write) and the relabel runs in
-//! its premarked form — one fewer O(n) traversal per level.
+//! so the relabel flag-mark pass is *fused* into that sweep (a relaxed
+//! atomic store of `flag[label] = 1` alongside the label write) and the
+//! relabel runs in its premarked form — one fewer O(n) traversal per
+//! level. Both return the same labels under every policy.
 
-use super::util::{heavy_neighbors, prepare_premark, relabel_premarked};
+use super::util::{heavy_neighbors, premark_flags, relabel_premarked};
 use super::workspace::MapWorkspace;
 use super::{MapStats, Mapping, UNMAPPED};
 use mlcg_graph::Csr;
 use mlcg_par::atomic::as_atomic_u32;
 use mlcg_par::perm::{invert_permutation_in, random_permutation_in};
-use mlcg_par::{parallel_for, ExecPolicy};
+use mlcg_par::{parallel_for, parallel_for_mut, ExecPolicy};
 use std::sync::atomic::Ordering;
 
 /// HEC3 — Algorithm 5, through a level-reused workspace.
-pub fn hec3(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
-    let n = g.n();
-    if n <= 1 {
-        return (
-            Mapping {
-                map: vec![0; n.min(1)],
-                n_coarse: n.min(1),
-            },
-            MapStats::default(),
-        );
-    }
+pub(crate) fn hec3(
+    policy: &ExecPolicy,
+    g: &Csr,
+    seed: u64,
+    ws: &mut MapWorkspace,
+) -> (Mapping, MapStats) {
     heavy_neighbors(policy, g, &mut ws.heavy);
+    hec3_phases(policy, seed, ws)
+}
+
+/// HEC3's phases over the heavy array already in `ws.heavy`: HEC3 runs
+/// them over the plain heavy neighbors, GOSH-HEC over its filtered ones.
+pub(crate) fn hec3_phases(
+    policy: &ExecPolicy,
+    seed: u64,
+    ws: &mut MapWorkspace,
+) -> (Mapping, MapStats) {
+    let n = ws.heavy.len();
     random_permutation_in(policy, n, seed, &mut ws.perm_keys, &mut ws.queue);
     // pos[u] = random priority of u.
-    {
-        let (queue, pos) = (&ws.queue, &mut ws.pos);
-        invert_permutation_in(policy, queue, pos);
-    }
+    invert_permutation_in(policy, &ws.queue, &mut ws.pos);
 
     let mut m = vec![UNMAPPED; n];
 
     // Phase 1 (lines 5-8): collapse mutual heavy pairs, keeping the
     // endpoint with the smaller random position as representative.
     {
-        let base = m.as_mut_ptr() as usize;
-        let (h_ref, pos_ref) = (&ws.heavy, &ws.pos);
-        parallel_for(policy, n, move |u| {
-            let v = h_ref[u] as usize;
-            if h_ref[v] as usize == u {
-                let root = if pos_ref[u] <= pos_ref[v] { u } else { v };
-                // SAFETY: both endpoints compute the same root; idempotent.
-                unsafe {
-                    (base as *mut u32).add(u).write(root as u32);
-                }
+        let (h, pos) = (&ws.heavy, &ws.pos);
+        parallel_for_mut(policy, &mut m, |u, mu| {
+            let v = h[u] as usize;
+            if h[v] as usize == u {
+                *mu = if pos[u] <= pos[v] { u } else { v } as u32;
             }
         });
     }
@@ -76,9 +75,9 @@ pub fn hec3(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (
     // notes the plain-read guard skips unnecessary random atomic writes.
     {
         let m_at = as_atomic_u32(&mut m);
-        let h_ref = &ws.heavy;
-        parallel_for(policy, n, move |u| {
-            let v = h_ref[u] as usize;
+        let h = &ws.heavy;
+        parallel_for(policy, n, |u| {
+            let v = h[u] as usize;
             if m_at[v].load(Ordering::Relaxed) == UNMAPPED {
                 let _ = m_at[v].compare_exchange(
                     UNMAPPED,
@@ -90,32 +89,25 @@ pub fn hec3(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (
         });
     }
     // Phase 3 (lines 13-16): everyone else joins its heavy target.
+    MapWorkspace::snapshot(&mut ws.snap, &m);
     {
-        MapWorkspace::snapshot(&mut ws.snap, &m);
-        let base = m.as_mut_ptr() as usize;
-        let (h_ref, snap) = (&ws.heavy, &ws.snap);
-        parallel_for(policy, n, move |u| {
+        let (h, snap) = (&ws.heavy, &ws.snap);
+        parallel_for_mut(policy, &mut m, |u, mu| {
             if snap[u] == UNMAPPED {
-                let v = h_ref[u] as usize;
-                // v has in-degree >= 1, so phase 1 or 2 assigned it.
-                debug_assert_ne!(snap[v], UNMAPPED);
-                // SAFETY: disjoint writes (u was UNMAPPED in the snapshot,
-                // so no other phase wrote it).
-                unsafe {
-                    (base as *mut u32).add(u).write(snap[v]);
-                }
+                // H[u] has in-degree >= 1, so phase 1 or 2 assigned it.
+                let root = snap[h[u] as usize];
+                debug_assert_ne!(root, UNMAPPED);
+                *mu = root;
             }
         });
     }
     // Phase 4 (lines 17-21): pointer jumping to the aggregate root, with
     // the relabel flag-mark fused into the same sweep.
+    MapWorkspace::snapshot(&mut ws.snap, &m);
     {
-        MapWorkspace::snapshot(&mut ws.snap, &m);
-        prepare_premark(ws, n);
-        let base = m.as_mut_ptr() as usize;
-        let flag_base = ws.flag.as_mut_ptr() as usize;
+        let flag = premark_flags(&mut ws.flag, n);
         let snap = &ws.snap;
-        parallel_for(policy, n, move |u| {
+        parallel_for_mut(policy, &mut m, |u, mu| {
             let mut r = snap[u] as usize;
             let mut hops = 0;
             while snap[r] as usize != r {
@@ -123,12 +115,8 @@ pub fn hec3(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (
                 hops += 1;
                 debug_assert!(hops <= snap.len(), "pointer-jump cycle");
             }
-            // SAFETY: disjoint label writes per index; flag writes are
-            // idempotent (racing threads all write 1).
-            unsafe {
-                (base as *mut u32).add(u).write(r as u32);
-                (flag_base as *mut u32).add(r).write(1);
-            }
+            *mu = r as u32;
+            flag[r].store(1, Ordering::Relaxed);
         });
     }
     let mapping = relabel_premarked(policy, m, ws); // FindUniqAndRelabel (line 22)
@@ -145,64 +133,55 @@ pub fn hec3(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (
 /// HEC2 — the intermediate variant. Two arrays make the id assignment
 /// race-free without HEC3's explicit 2-cycle loop:
 ///
-/// - `X[v]`: the *winning proposer* of target `v` — the first vertex whose
-///   heavy edge points at `v` (one CAS per vertex);
-/// - `Y[v]` (the raw label): a target is labeled `min(v, X[v])`, so the
+/// - `X[v]`: the *earliest proposer* of target `v` — the smallest
+///   position in the visit order `P` of a vertex whose heavy edge points
+///   at `v`, taken with an atomic fetch-min, so the same under every
+///   schedule (it is the serial sweep's first proposer);
+/// - `Y[v]` (the raw label): a target is labeled `min(v, P[X[v]])`, so the
 ///   two orientations of a mutual heavy pair agree on one id without
 ///   detecting the cycle; every non-target joins its target's label.
 ///
 /// Runs through a level-reused workspace.
-pub fn hec2(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
+pub(crate) fn hec2(
+    policy: &ExecPolicy,
+    g: &Csr,
+    seed: u64,
+    ws: &mut MapWorkspace,
+) -> (Mapping, MapStats) {
     let n = g.n();
-    if n <= 1 {
-        return (
-            Mapping {
-                map: vec![0; n.min(1)],
-                n_coarse: n.min(1),
-            },
-            MapStats::default(),
-        );
-    }
     heavy_neighbors(policy, g, &mut ws.heavy);
     random_permutation_in(policy, n, seed, &mut ws.perm_keys, &mut ws.queue);
-    // X[v] = winning proposer, chosen in permutation order for the serial
-    // policy (first CAS wins under parallel policies).
     MapWorkspace::filled(&mut ws.own, n, UNMAPPED);
     {
         let x_at = as_atomic_u32(&mut ws.own);
-        let (h_ref, p_ref) = (&ws.heavy, &ws.queue);
-        parallel_for(policy, n, move |i| {
-            let u = p_ref[i];
-            let _ = x_at[h_ref[u as usize] as usize].compare_exchange(
-                UNMAPPED,
-                u,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            );
+        let (h, p) = (&ws.heavy, &ws.queue);
+        parallel_for(policy, n, |i| {
+            let x = &x_at[h[p[i] as usize] as usize];
+            // The plain-read guard skips the write once an earlier
+            // proposer holds the slot. Relaxed: the dispatch's join orders
+            // the minimum before the Y sweep reads it.
+            if x.load(Ordering::Relaxed) > i as u32 {
+                x.fetch_min(i as u32, Ordering::Relaxed);
+            }
         });
     }
-    // Y: targets take min(v, winner); non-targets take their target's
-    // label. This full sweep also carries the fused relabel flag-mark.
+    // Y: targets take min(v, earliest proposer); non-targets take their
+    // target's label. This full sweep also carries the fused relabel
+    // flag-mark.
     let mut y = vec![UNMAPPED; n];
     {
-        prepare_premark(ws, n);
-        let base = y.as_mut_ptr() as usize;
-        let flag_base = ws.flag.as_mut_ptr() as usize;
-        let (h_ref, x_ref) = (&ws.heavy, &ws.own);
-        let label_of_target = |v: usize| v.min(x_ref[v] as usize) as u32;
-        parallel_for(policy, n, move |u| {
-            let label = if x_ref[u] != UNMAPPED {
+        let flag = premark_flags(&mut ws.flag, n);
+        let (h, x, p) = (&ws.heavy, &ws.own, &ws.queue);
+        let label_of_target = |v: usize| v.min(p[x[v] as usize] as usize) as u32;
+        parallel_for_mut(policy, &mut y, |u, yu| {
+            let label = if x[u] != UNMAPPED {
                 label_of_target(u)
             } else {
                 // u's heavy target is a target by construction.
-                label_of_target(h_ref[u] as usize)
+                label_of_target(h[u] as usize)
             };
-            // SAFETY: disjoint label writes per index; flag writes are
-            // idempotent.
-            unsafe {
-                (base as *mut u32).add(u).write(label);
-                (flag_base as *mut u32).add(label as usize).write(1);
-            }
+            *yu = label;
+            flag[label as usize].store(1, Ordering::Relaxed);
         });
     }
     let mapping = relabel_premarked(policy, y, ws);
@@ -248,7 +227,7 @@ mod tests {
     fn hec3_always_merges_mutual_pairs() {
         // 0 -(9)- 1 mutual heavy pair; 2, 3 attach via unit edges. HEC3's
         // explicit 2-cycle loop merges the pair for every seed; HEC2 merges
-        // it only when each endpoint wins the other's proposal race.
+        // it only when each endpoint is the other's earliest proposer.
         for seed in 0..10 {
             let g = from_edges_weighted(4, &[(0, 1, 9), (1, 2, 1), (2, 3, 1), (3, 0, 1)]);
             let (m3, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hec3, seed);
@@ -311,6 +290,23 @@ mod tests {
         for policy in ExecPolicy::all_test_policies() {
             let (c, _) = find_mapping(&policy, &g, MapMethod::Hec2, 7);
             c.validate().unwrap();
+        }
+    }
+
+    #[test]
+    fn hec2_returns_the_serial_labels_under_every_policy() {
+        // X[v] is a fetch-min over positions in P, so no schedule can keep
+        // a proposer other than the serial sweep's first one. Hub targets
+        // with many proposers make a first-CAS-wins race visible here.
+        let (g, _) = mlcg_graph::cc::largest_component(&gen::rmat(12, 8, 0.57, 0.19, 0.19, 5));
+        for seed in [7, 42] {
+            let (want, _) = find_mapping(&ExecPolicy::serial(), &g, MapMethod::Hec2, seed);
+            for policy in ExecPolicy::all_test_policies().into_iter().skip(1) {
+                for run in 0..10 {
+                    let (m, _) = find_mapping(&policy, &g, MapMethod::Hec2, seed);
+                    assert_eq!(m, want, "seed {seed} under {policy}, run {run}");
+                }
+            }
         }
     }
 

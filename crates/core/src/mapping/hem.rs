@@ -22,7 +22,12 @@ const FREE: u32 = u32::MAX;
 
 /// Parallel HEM through a level-reused workspace. Unmatched vertices
 /// become singleton aggregates.
-pub fn hem(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
+pub(crate) fn hem(
+    policy: &ExecPolicy,
+    g: &Csr,
+    seed: u64,
+    ws: &mut MapWorkspace,
+) -> (Mapping, MapStats) {
     let (raw, stats) = hem_raw(policy, g, seed, ws);
     (relabel(policy, finalize_singletons(raw), ws), stats)
 }
@@ -38,9 +43,6 @@ pub(crate) fn hem_raw(
 ) -> (Vec<u32>, MapStats) {
     let n = g.n();
     let mut m = vec![UNMAPPED; n];
-    if n <= 1 {
-        return (m, MapStats::default());
-    }
     let mut stats = MapStats::default();
     random_permutation_in(policy, n, seed, &mut ws.perm_keys, &mut ws.queue);
     MapWorkspace::filled(&mut ws.own, n, FREE);
@@ -51,17 +53,15 @@ pub(crate) fn hem_raw(
         MapWorkspace::filled(&mut ws.heavy, n, UNMAPPED);
         {
             let _k = profile::kernel("heavy_scan");
-            let base = ws.heavy.as_mut_ptr() as usize;
-            let m_ref = &m;
-            let q_ref = &ws.queue;
-            parallel_for(policy, q_ref.len(), move |i| {
+            let h_at = as_atomic_u32(&mut ws.heavy);
+            let (m_ref, q_ref) = (&m, &ws.queue);
+            parallel_for(policy, q_ref.len(), |i| {
                 let u = q_ref[i];
                 let best = heavy_neighbor_where(g, u as VId, |v| m_ref[v as usize] == UNMAPPED);
                 if let Some(v) = best {
-                    // SAFETY: disjoint writes per queue entry.
-                    unsafe {
-                        (base as *mut u32).add(u as usize).write(v);
-                    }
+                    // Queue entries are distinct vertices: one store per
+                    // slot, read only after the dispatch's join.
+                    h_at[u as usize].store(v, Ordering::Relaxed);
                 }
             });
         }

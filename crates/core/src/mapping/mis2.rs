@@ -13,24 +13,20 @@ use super::workspace::MapWorkspace;
 use super::{MapStats, Mapping, UNMAPPED};
 use mlcg_graph::{Csr, VId};
 use mlcg_par::rng::hash_index;
-use mlcg_par::{parallel_count, parallel_for, ExecPolicy};
+use mlcg_par::{parallel_count, parallel_for_mut, ExecPolicy};
 
 const UNDECIDED: u32 = 0;
 const IN_MIS: u32 = 1;
 const REMOVED: u32 = 2;
 
 /// MIS(2) coarsening through a level-reused workspace.
-pub fn mis2(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
+pub(crate) fn mis2(
+    policy: &ExecPolicy,
+    g: &Csr,
+    seed: u64,
+    ws: &mut MapWorkspace,
+) -> (Mapping, MapStats) {
     let n = g.n();
-    if n <= 1 {
-        return (
-            Mapping {
-                map: vec![0; n.min(1)],
-                n_coarse: n.min(1),
-            },
-            MapStats::default(),
-        );
-    }
     let mut stats = MapStats::default();
     // Unique random priorities: (hash, id) packed into u64 (id in the low
     // bits breaks hash collisions).
@@ -56,84 +52,58 @@ pub fn mis2(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (
         }
         // Sweep 1: t1[u] = max undecided priority within distance 1 of u.
         {
-            let base = ws.t1.as_mut_ptr() as usize;
-            let (state_ref, prio_ref) = (&ws.own, &ws.prio);
-            parallel_for(policy, n, move |u| {
-                let mut best = if state_ref[u] == UNDECIDED {
-                    prio_ref[u]
-                } else {
-                    0
-                };
+            let (state, prio) = (&ws.own, &ws.prio);
+            parallel_for_mut(policy, &mut ws.t1, |u, t1u| {
+                let mut best = if state[u] == UNDECIDED { prio[u] } else { 0 };
                 for &v in g.neighbors(u as VId) {
-                    if state_ref[v as usize] == UNDECIDED {
-                        best = best.max(prio_ref[v as usize]);
+                    if state[v as usize] == UNDECIDED {
+                        best = best.max(prio[v as usize]);
                     }
                 }
-                // SAFETY: disjoint writes per index.
-                unsafe {
-                    (base as *mut u64).add(u).write(best);
-                }
+                *t1u = best;
             });
         }
         // Sweep 2: t2[u] = max of t1 within distance 1 => max undecided
         // priority within distance 2.
         {
-            let base = ws.t2.as_mut_ptr() as usize;
-            let t1_ref = &ws.t1;
-            parallel_for(policy, n, move |u| {
-                let mut best = t1_ref[u];
+            let t1 = &ws.t1;
+            parallel_for_mut(policy, &mut ws.t2, |u, t2u| {
+                let mut best = t1[u];
                 for &v in g.neighbors(u as VId) {
-                    best = best.max(t1_ref[v as usize]);
+                    best = best.max(t1[v as usize]);
                 }
-                // SAFETY: disjoint writes per index.
-                unsafe {
-                    (base as *mut u64).add(u).write(best);
-                }
+                *t2u = best;
             });
         }
         // Select: undecided local distance-2 maxima join the MIS.
         {
-            let base = ws.own.as_mut_ptr() as usize;
-            let (state_ref, prio_ref, t2_ref) = (&ws.own, &ws.prio, &ws.t2);
-            parallel_for(policy, n, move |u| {
-                if state_ref[u] == UNDECIDED && prio_ref[u] == t2_ref[u] {
-                    // SAFETY: disjoint writes (only u's own slot).
-                    unsafe {
-                        (base as *mut u32).add(u).write(IN_MIS);
-                    }
+            let (prio, t2) = (&ws.prio, &ws.t2);
+            parallel_for_mut(policy, &mut ws.own, |u, state| {
+                if *state == UNDECIDED && prio[u] == t2[u] {
+                    *state = IN_MIS;
                 }
             });
         }
         // Remove everything within distance 2 of a (new) MIS vertex, via
         // two flag propagations.
         {
-            let base = ws.near.as_mut_ptr() as usize;
-            let state_ref = &ws.own;
-            parallel_for(policy, n, move |u| {
-                let hit = state_ref[u] == IN_MIS
+            let state = &ws.own;
+            parallel_for_mut(policy, &mut ws.near, |u, near| {
+                let hit = state[u] == IN_MIS
                     || g.neighbors(u as VId)
                         .iter()
-                        .any(|&v| state_ref[v as usize] == IN_MIS);
-                // SAFETY: disjoint writes per index.
-                unsafe {
-                    (base as *mut u8).add(u).write(u8::from(hit));
-                }
+                        .any(|&v| state[v as usize] == IN_MIS);
+                *near = u8::from(hit);
             });
         }
         {
-            let base = ws.own.as_mut_ptr() as usize;
-            let (state_ref, near_ref) = (&ws.own, &ws.near);
-            parallel_for(policy, n, move |u| {
-                if state_ref[u] == UNDECIDED
-                    && (near_ref[u] == 1
-                        || g.neighbors(u as VId)
-                            .iter()
-                            .any(|&v| near_ref[v as usize] == 1))
+            let near = &ws.near;
+            parallel_for_mut(policy, &mut ws.own, |u, state| {
+                if *state == UNDECIDED
+                    && (near[u] == 1
+                        || g.neighbors(u as VId).iter().any(|&v| near[v as usize] == 1))
                 {
-                    // SAFETY: disjoint writes per index.
-                    unsafe {
-                        (base as *mut u32).add(u).write(REMOVED);
-                    }
+                    *state = REMOVED;
                 }
             });
         }
@@ -147,40 +117,32 @@ pub fn mis2(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (
     // Aggregation: roots, then distance-1 attach, then distance-2 attach.
     let mut m = vec![UNMAPPED; n];
     {
-        let base = m.as_mut_ptr() as usize;
-        let state_ref = &ws.own;
-        parallel_for(policy, n, move |u| {
-            if state_ref[u] == IN_MIS {
-                // SAFETY: disjoint writes.
-                unsafe {
-                    (base as *mut u32).add(u).write(u as u32);
-                }
+        let state = &ws.own;
+        parallel_for_mut(policy, &mut m, |u, mu| {
+            if state[u] == IN_MIS {
+                *mu = u as u32;
             }
         });
     }
     {
         // Distance-1: attach to the highest-priority adjacent root.
         MapWorkspace::snapshot(&mut ws.snap, &m);
-        let base = m.as_mut_ptr() as usize;
-        let (snap, prio_ref, state_ref) = (&ws.snap, &ws.prio, &ws.own);
-        parallel_for(policy, n, move |u| {
+        let (snap, prio, state) = (&ws.snap, &ws.prio, &ws.own);
+        parallel_for_mut(policy, &mut m, |u, mu| {
             if snap[u] != UNMAPPED {
                 return;
             }
             let mut best: Option<(u64, u32)> = None;
             for &v in g.neighbors(u as VId) {
-                if state_ref[v as usize] == IN_MIS {
-                    let key = (prio_ref[v as usize], v);
+                if state[v as usize] == IN_MIS {
+                    let key = (prio[v as usize], v);
                     if best.is_none_or(|(bp, _)| key.0 > bp) {
                         best = Some(key);
                     }
                 }
             }
             if let Some((_, v)) = best {
-                // SAFETY: disjoint writes.
-                unsafe {
-                    (base as *mut u32).add(u).write(v);
-                }
+                *mu = v;
             }
         });
     }
@@ -192,25 +154,20 @@ pub fn mis2(policy: &ExecPolicy, g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (
             break;
         }
         MapWorkspace::snapshot(&mut ws.snap, &m);
-        {
-            let base = m.as_mut_ptr() as usize;
-            let snap = &ws.snap;
-            parallel_for(policy, n, move |u| {
-                if snap[u] != UNMAPPED {
-                    return;
-                }
-                for &v in g.neighbors(u as VId) {
-                    let mv = snap[v as usize];
-                    if mv != UNMAPPED {
-                        // SAFETY: disjoint writes.
-                        unsafe {
-                            (base as *mut u32).add(u).write(mv);
-                        }
-                        return;
-                    }
-                }
-            });
-        }
+        let snap = &ws.snap;
+        parallel_for_mut(policy, &mut m, |u, mu| {
+            if snap[u] != UNMAPPED {
+                return;
+            }
+            if let Some(mv) = g
+                .neighbors(u as VId)
+                .iter()
+                .map(|&v| snap[v as usize])
+                .find(|&mv| mv != UNMAPPED)
+            {
+                *mu = mv;
+            }
+        });
         let now = parallel_count(policy, n, |u| m[u] == UNMAPPED);
         assert!(
             now < remaining,

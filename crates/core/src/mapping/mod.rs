@@ -1,5 +1,9 @@
 //! Fine-to-coarse vertex mapping algorithms (`FindCoarseMapping` in
 //! Algorithm 1).
+//!
+//! Every kernel here writes through `mlcg_par`'s safe disjoint-write
+//! primitives or its atomic views, so the module forbids `unsafe`.
+#![forbid(unsafe_code)]
 
 pub mod classify;
 pub mod gosh;
@@ -112,7 +116,8 @@ pub enum MapMethod {
     /// Parallel Heavy Edge Coarsening (Algorithm 4), resolved by
     /// deterministic reservations: the same labels under every policy.
     Hec,
-    /// Two-array race-free HEC variant (HEC2).
+    /// Two-array race-free HEC variant (HEC2): the same labels under every
+    /// policy.
     Hec2,
     /// Pseudoforest HEC variant with pointer jumping (Algorithm 5, HEC3).
     Hec3,
@@ -186,9 +191,9 @@ impl MapMethod {
 /// neighbor always maps to an aggregate of its own.
 ///
 /// The randomized visit order is derived from `seed`; results are
-/// deterministic for the serial policy and a fixed seed. HEC, HEC3,
+/// deterministic for the serial policy and a fixed seed. HEC, HEC2, HEC3,
 /// GOSH-HEC, MIS-2, Suitor and the sequential references return the same
-/// labels under every policy; HEC2, HEM, mt-Metis and GOSH vary in
+/// labels under every policy; HEM, mt-Metis and GOSH vary in
 /// tie-resolution order under parallel policies.
 ///
 /// ```
@@ -227,6 +232,12 @@ pub fn find_mapping_in(
     ws: &mut MapWorkspace,
 ) -> (Mapping, MapStats) {
     let _k = profile::kernel("map");
+    let n = g.n();
+    if n <= 1 {
+        // Nothing to coarsen: a lone vertex is its own aggregate.
+        let map = vec![0; n];
+        return (Mapping { map, n_coarse: n }, MapStats::default());
+    }
     match method {
         MapMethod::Hec => hec::hec(policy, g, seed, ws),
         MapMethod::Hec2 => hec23::hec2(policy, g, seed, ws),

@@ -12,7 +12,7 @@ use mlcg_par::ExecPolicy;
 /// Sequential Heavy Edge Matching (Algorithm 2): visit vertices in random
 /// order; an unmatched vertex pairs with its heaviest *unmatched* neighbor,
 /// or becomes a singleton. Runs through a level-reused workspace.
-pub fn seq_hem(g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
+pub(crate) fn seq_hem(g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
     let n = g.n();
     let serial = ExecPolicy::serial();
     random_permutation_in(&serial, n, seed, &mut ws.perm_keys, &mut ws.queue);
@@ -53,17 +53,8 @@ pub fn seq_hem(g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats)
 /// becomes a singleton aggregate. Runs through a level-reused
 /// workspace: the membership scratch array lives in `ws.own`, and only
 /// `raw` escapes into the relabel.
-pub fn seq_hec(g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
+pub(crate) fn seq_hec(g: &Csr, seed: u64, ws: &mut MapWorkspace) -> (Mapping, MapStats) {
     let n = g.n();
-    if n <= 1 {
-        return (
-            Mapping {
-                map: vec![0; n.min(1)],
-                n_coarse: n.min(1),
-            },
-            MapStats::default(),
-        );
-    }
     let serial = ExecPolicy::serial();
     random_permutation_in(&serial, n, seed, &mut ws.perm_keys, &mut ws.queue);
     MapWorkspace::filled(&mut ws.own, n, UNMAPPED);

@@ -39,22 +39,13 @@ fn edge_prio(seed: u64, u: u32, v: u32) -> u64 {
 /// suitor array lives in `ws.own`, the (weight, priority) offer keys are
 /// split across the two u64 scratch arrays, and the permutation doubles
 /// as the work stack.
-pub fn suitor(
+pub(crate) fn suitor(
     policy: &ExecPolicy,
     g: &Csr,
     seed: u64,
     ws: &mut MapWorkspace,
 ) -> (Mapping, MapStats) {
     let n = g.n();
-    if n <= 1 {
-        return (
-            Mapping {
-                map: vec![0; n.min(1)],
-                n_coarse: n.min(1),
-            },
-            MapStats::default(),
-        );
-    }
     // suitor_of[v] = current best proposer of v; (t1[v], t2[v]) = its
     // (weight, priority) offer key, compared lexicographically.
     MapWorkspace::filled(&mut ws.own, n, UNMAPPED);

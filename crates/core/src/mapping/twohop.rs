@@ -22,7 +22,7 @@ use mlcg_par::atomic::as_atomic_u32;
 use mlcg_par::filter::filter_range_in;
 use mlcg_par::rng::mix;
 use mlcg_par::sort::par_radix_sort_pairs;
-use mlcg_par::{parallel_count, parallel_for, profile, ExecPolicy};
+use mlcg_par::{parallel_count, parallel_for, parallel_for_mut, profile, ExecPolicy};
 use std::sync::atomic::Ordering;
 
 /// Engage two-hop stages while `unmatched / n` exceeds this (mt-Metis').
@@ -36,7 +36,7 @@ const FREE: u32 = u32::MAX;
 
 /// HEM followed by threshold-gated leaf, twin, and relative matching,
 /// with the mt-Metis thresholds, through a level-reused workspace.
-pub fn mtmetis(
+pub(crate) fn mtmetis(
     policy: &ExecPolicy,
     g: &Csr,
     seed: u64,
@@ -44,18 +44,16 @@ pub fn mtmetis(
 ) -> (Mapping, MapStats) {
     let n = g.n();
     let (mut raw, mut stats) = hem_raw(policy, g, seed, ws);
-    if n > 1 {
-        let unmatched = |m: &[u32]| parallel_count(policy, n, |u| m[u] == UNMAPPED);
+    let unmatched = |m: &[u32]| parallel_count(policy, n, |u| m[u] == UNMAPPED);
+    if unmatched(&raw) as f64 > UNMATCHED_RATIO * n as f64 {
+        match_leaves(policy, g, &mut raw);
+        stats.passes += 1;
         if unmatched(&raw) as f64 > UNMATCHED_RATIO * n as f64 {
-            match_leaves(policy, g, &mut raw);
+            match_twins(policy, g, &mut raw, ws);
             stats.passes += 1;
             if unmatched(&raw) as f64 > UNMATCHED_RATIO * n as f64 {
-                match_twins(policy, g, &mut raw, ws);
+                match_relatives(policy, g, &mut raw, ws);
                 stats.passes += 1;
-                if unmatched(&raw) as f64 > UNMATCHED_RATIO * n as f64 {
-                    match_relatives(policy, g, &mut raw, ws);
-                    stats.passes += 1;
-                }
             }
         }
     }
@@ -112,18 +110,14 @@ pub fn match_twins(policy: &ExecPolicy, g: &Csr, m: &mut [u32], ws: &mut MapWork
     keys.clear();
     keys.resize(candidates.len(), 0);
     {
-        let base = keys.as_mut_ptr() as usize;
         let cand = &*candidates;
-        parallel_for(policy, cand.len(), move |i| {
+        parallel_for_mut(policy, keys, |i, key| {
             let u = cand[i];
             let mut acc = 0xcbf29ce484222325u64 ^ g.degree(u) as u64;
             for &v in g.neighbors(u) {
                 acc = mix(acc ^ v as u64);
             }
-            // SAFETY: disjoint writes per candidate.
-            unsafe {
-                (base as *mut u64).add(i).write(acc);
-            }
+            *key = acc;
         });
     }
     par_radix_sort_pairs(policy, keys, candidates);

@@ -4,8 +4,10 @@
 use super::workspace::MapWorkspace;
 use super::{Mapping, UNMAPPED};
 use mlcg_graph::{Csr, VId};
-use mlcg_par::scan::{exclusive_scan, ScanElem};
-use mlcg_par::{parallel_for, profile, ExecPolicy};
+use mlcg_par::atomic::as_atomic_u32;
+use mlcg_par::scan::exclusive_scan;
+use mlcg_par::{parallel_for, parallel_for_mut, profile, ExecPolicy};
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 /// Compute the heavy-neighbor array `H[u]`: the first maximum-weight
 /// neighbor in adjacency order (adjacency is sorted by id, so ties resolve
@@ -14,10 +16,8 @@ use mlcg_par::{parallel_for, profile, ExecPolicy};
 /// vertex with no neighbor gets `H[u] = u`: it aggregates alone.
 pub fn heavy_neighbors(policy: &ExecPolicy, g: &Csr, h: &mut Vec<u32>) {
     let _k = profile::kernel("heavy_nbrs");
-    let n = g.n();
-    MapWorkspace::filled(h, n, UNMAPPED);
-    let base = h.as_mut_ptr() as usize;
-    parallel_for(policy, n, move |u| {
+    MapWorkspace::filled(h, g.n(), UNMAPPED);
+    parallel_for_mut(policy, h, |u, hu| {
         let mut best_w = 0u64;
         let mut best = u as VId;
         for (v, w) in g.edges(u as VId) {
@@ -26,10 +26,7 @@ pub fn heavy_neighbors(policy: &ExecPolicy, g: &Csr, h: &mut Vec<u32>) {
                 best = v;
             }
         }
-        // SAFETY: one write per index.
-        unsafe {
-            (base as *mut u32).add(u).write(best);
-        }
+        *hu = best;
     });
 }
 
@@ -50,129 +47,62 @@ where
     best
 }
 
-/// Flag-array element for the relabel prefix sum: `u32` whenever counts
-/// provably fit (labels and totals are bounded by `n ≤ u32::MAX`),
-/// `usize` as the defensive wide form. The narrow form halves the
-/// 8 B/vertex auxiliary footprint of the old `vec![0usize; n + 1]` flag on
-/// every graph the suite runs.
-trait FlagWord: ScanElem {
-    const ONE: Self;
-    fn to_u32(self) -> u32;
-    fn to_usize(self) -> usize;
-}
-
-impl FlagWord for u32 {
-    const ONE: Self = 1;
-    #[inline]
-    fn to_u32(self) -> u32 {
-        self
-    }
-    #[inline]
-    fn to_usize(self) -> usize {
-        self as usize
-    }
-}
-
-impl FlagWord for usize {
-    const ONE: Self = 1;
-    #[inline]
-    fn to_u32(self) -> u32 {
-        self as u32
-    }
-    #[inline]
-    fn to_usize(self) -> usize {
-        self
-    }
-}
-
-/// The shared mark → scan → rewrite core. `premarked` skips the mark pass
-/// (the caller already set `flag[l] = 1` for every used label during its
-/// own final sweep — the fused form that saves one O(n) traversal).
-fn relabel_core<T: FlagWord>(
-    policy: &ExecPolicy,
-    labels: &mut [u32],
-    flag: &mut Vec<T>,
-    premarked: bool,
-) -> usize {
-    let n = labels.len();
-    if !premarked {
-        flag.clear();
-        flag.resize(n + 1, T::default());
-        let base = flag.as_mut_ptr() as usize;
-        let labels_ref = &*labels;
-        parallel_for(policy, n, move |u| {
-            let l = labels_ref[u];
-            assert!(l != UNMAPPED, "relabel: vertex {u} unmapped");
-            assert!((l as usize) < n, "relabel: raw label out of range");
-            // SAFETY: idempotent writes of the same value; racing threads
-            // all write 1.
-            unsafe {
-                (base as *mut T).add(l as usize).write(T::ONE);
-            }
-        });
-    } else {
-        debug_assert_eq!(flag.len(), n + 1, "premarked flag not prepared");
-    }
-    let n_coarse = exclusive_scan(policy, flag).to_usize();
-    {
-        let base = labels.as_mut_ptr() as usize;
-        let flag_ref = &flag[..];
-        let labels_ptr = labels.as_ptr() as usize;
-        parallel_for(policy, n, move |u| {
-            // SAFETY: disjoint read/write per index.
-            unsafe {
-                let l = *(labels_ptr as *const u32).add(u);
-                (base as *mut u32)
-                    .add(u)
-                    .write(flag_ref[l as usize].to_u32());
-            }
-        });
-    }
-    n_coarse
-}
-
 /// Relabel arbitrary labels in `0..n` to contiguous coarse ids `0..n_c`
 /// (parallel flag + prefix sum). Consumes the raw label array. The flag
-/// buffer comes from the workspace and is `u32` wide whenever `n` fits,
-/// `usize` otherwise.
-pub fn relabel(policy: &ExecPolicy, mut labels: Vec<u32>, ws: &mut MapWorkspace) -> Mapping {
+/// buffer is the workspace's `u32` array: labels are `u32` values other
+/// than [`UNMAPPED`], so at most 2³²−1 distinct ones exist and every
+/// prefix count fits.
+pub fn relabel(policy: &ExecPolicy, labels: Vec<u32>, ws: &mut MapWorkspace) -> Mapping {
     let _k = profile::kernel("relabel");
     let n = labels.len();
-    let n_coarse = if n < u32::MAX as usize {
-        relabel_core(policy, &mut labels, &mut ws.flag, false)
-    } else {
-        relabel_core(policy, &mut labels, &mut ws.flag_wide, false)
-    };
-    Mapping {
-        map: labels,
-        n_coarse,
-    }
+    let flag = premark_flags(&mut ws.flag, n);
+    parallel_for(policy, n, |u| {
+        let l = labels[u];
+        assert!(l != UNMAPPED, "relabel: vertex {u} unmapped");
+        assert!((l as usize) < n, "relabel: raw label out of range");
+        flag[l as usize].store(1, Relaxed);
+    });
+    compact(policy, labels, &mut ws.flag)
 }
 
-/// Zero the narrow flag buffer for a fused mark: policies whose final pass
-/// already sweeps the label array call this first, write
-/// `flag[root] = 1` during that sweep (idempotent u32 writes), and finish
-/// with [`relabel_premarked`] — eliminating relabel's own mark
-/// traversal.
-pub(crate) fn prepare_premark(ws: &mut MapWorkspace, n: usize) -> &mut Vec<u32> {
-    assert!(n < u32::MAX as usize, "premark requires the narrow flag");
-    ws.flag.clear();
-    ws.flag.resize(n + 1, 0);
-    &mut ws.flag
+/// Zero the relabel flag for a fused mark and view it as atomics: methods
+/// whose final pass already sweeps the label array mark `flag[root]`
+/// during that sweep and finish with [`relabel_premarked`], eliminating
+/// relabel's own mark traversal. Vertices sharing a root mark it at once,
+/// so the marks are relaxed atomic stores of 1 (a plain store on x86-64
+/// and AArch64); they publish nothing else, and the dispatch's join
+/// orders them before the scan reads the flags.
+pub(crate) fn premark_flags(flag: &mut Vec<u32>, n: usize) -> &[AtomicU32] {
+    flag.clear();
+    flag.resize(n + 1, 0);
+    as_atomic_u32(flag)
 }
 
-/// [`relabel`] when `ws.flag` was already marked via
-/// [`prepare_premark`] — skips the mark pass.
+/// [`relabel`] when `ws.flag` was already marked through
+/// [`premark_flags`] — skips the mark pass.
 pub(crate) fn relabel_premarked(
     policy: &ExecPolicy,
-    mut labels: Vec<u32>,
+    labels: Vec<u32>,
     ws: &mut MapWorkspace,
 ) -> Mapping {
     let _k = profile::kernel("relabel");
     debug_assert!(labels
         .iter()
         .all(|&l| l != UNMAPPED && (l as usize) < labels.len()));
-    let n_coarse = relabel_core(policy, &mut labels, &mut ws.flag, true);
+    debug_assert_eq!(
+        ws.flag.len(),
+        labels.len() + 1,
+        "premarked flag not prepared"
+    );
+    compact(policy, labels, &mut ws.flag)
+}
+
+/// The scan → rewrite core: the exclusive scan of the marked flags gives
+/// each used label its coarse id, and every label is rewritten to it.
+fn compact(policy: &ExecPolicy, mut labels: Vec<u32>, flag: &mut [u32]) -> Mapping {
+    let n_coarse = exclusive_scan(policy, flag) as usize;
+    let flag: &[u32] = flag;
+    parallel_for_mut(policy, &mut labels, |_, l| *l = flag[*l as usize]);
     Mapping {
         map: labels,
         n_coarse,
@@ -259,47 +189,13 @@ mod tests {
         for policy in ExecPolicy::all_test_policies() {
             let plain = relabel(&policy, raw.clone(), &mut MapWorkspace::new());
             let mut ws = MapWorkspace::new();
-            let flag = prepare_premark(&mut ws, raw.len());
+            let flag = premark_flags(&mut ws.flag, raw.len());
             for &l in &raw {
-                flag[l as usize] = 1;
+                flag[l as usize].store(1, Relaxed);
             }
             let fused = relabel_premarked(&policy, raw.clone(), &mut ws);
             assert_eq!(plain, fused, "{policy}");
         }
-    }
-
-    #[test]
-    fn relabel_narrow_flag_halves_aux_footprint() {
-        // The width rule's acceptance criterion: peak auxiliary bytes for
-        // a relabel through the narrow flag are less than 60 % of the old
-        // usize-flag implementation's (4 B vs 8 B per vertex + scan
-        // internals). Measured under the serial policy so the tracking
-        // allocator sees the whole envelope.
-        let n = 100_000usize;
-        let raw: Vec<u32> = (0..n as u32).map(|i| (i * 7) % 50_000).collect();
-        let serial = ExecPolicy::serial();
-        let mut ws = MapWorkspace::new();
-        // Label arrays are allocated outside each scope and returned from
-        // it, so the measured peaks are the *auxiliary* envelope only
-        // (flag array + scan internals).
-        let raw1 = raw.clone();
-        let (m1, narrow) = mlcg_par::mem::measure(|| relabel(&serial, raw1, &mut ws));
-        let raw2 = raw.clone();
-        let (m2, wide) = mlcg_par::mem::measure(|| {
-            // The pre-rebuild implementation: usize flag array.
-            let mut labels = raw2;
-            let mut flag = Vec::new();
-            let n_coarse = relabel_core::<usize>(&serial, &mut labels, &mut flag, false);
-            (labels, n_coarse)
-        });
-        assert_eq!(m1.map, m2.0);
-        assert_eq!(m1.n_coarse, m2.1);
-        assert!(
-            (narrow.peak_bytes as f64) <= 0.6 * wide.peak_bytes as f64,
-            "narrow flag {} must be <= 60% of wide flag {}",
-            narrow.peak_bytes,
-            wide.peak_bytes
-        );
     }
 
     #[test]

@@ -47,12 +47,8 @@ pub struct MapWorkspace {
     pub(crate) t2: Vec<u64>,
     /// MIS-2 distance-1-of-MIS flags.
     pub(crate) near: Vec<u8>,
-    /// Relabel flag + prefix-sum array, narrow form (see
-    /// [`super::util::relabel`]'s width rule).
+    /// Relabel flag + prefix-sum array (see [`super::util::relabel`]).
     pub(crate) flag: Vec<u32>,
-    /// Relabel flag array, wide form (only when counts could exceed
-    /// `u32`).
-    pub(crate) flag_wide: Vec<usize>,
     /// Per-block survivor counts for [`mlcg_par::filter`] compactions.
     pub(crate) fcounts: Vec<usize>,
 }

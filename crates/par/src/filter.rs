@@ -4,15 +4,15 @@
 //! The sequential equivalent is `Vec::retain`, which sits on the critical
 //! path of every mapping pass (Algorithm 4's requeue of unresolved
 //! vertices). The parallel form decomposes the input into *fixed* blocks —
-//! one per dispatch slot, claimed through [`parallel_for_weighted`] so the
-//! profiler tags it `par_for` — counts survivors per block, exclusive-scans
-//! the (tiny) per-block counts sequentially, and scatters each block's
-//! survivors to its precomputed offset. Fixed blocks make the output
-//! independent of the schedule: every element's destination is a function
-//! of the input alone, so the result is bit-identical to `retain` under
-//! every policy and thread count.
+//! one per dispatch slot, claimed through [`parallel_for_weighted_mut`] and
+//! [`parallel_for_weighted`] so the profiler tags them `par_for` — counts
+//! survivors per block, exclusive-scans the (tiny) per-block counts
+//! sequentially, and scatters each block's survivors to its precomputed
+//! offset. Fixed blocks make the output independent of the schedule: every
+//! element's destination is a function of the input alone, so the result
+//! is bit-identical to `retain` under every policy and thread count.
 
-use crate::{parallel_for_weighted, pool, profile, ExecPolicy};
+use crate::{parallel_for_weighted, parallel_for_weighted_mut, pool, profile, ExecPolicy};
 
 /// Block count for the two passes: a few blocks per effective thread keeps
 /// the tail balanced without making the sequential scan over block counts
@@ -47,19 +47,11 @@ fn filter_impl<G, P>(
     let block = n.div_ceil(nblocks);
     counts.clear();
     counts.resize(nblocks, 0);
-    {
-        let base = counts.as_mut_ptr() as usize;
-        let (get_ref, pred_ref) = (&get, &pred);
-        parallel_for_weighted(policy, n, nblocks, move |b| {
-            let lo = b * block;
-            let hi = ((b + 1) * block).min(n);
-            let c = (lo..hi).filter(|&i| pred_ref(get_ref(i))).count();
-            // SAFETY: one write per block index.
-            unsafe {
-                (base as *mut usize).add(b).write(c);
-            }
-        });
-    }
+    parallel_for_weighted_mut(policy, n, counts, |b, c| {
+        *c = (b * block..((b + 1) * block).min(n))
+            .filter(|&i| pred(get(i)))
+            .count();
+    });
     // Exclusive scan of the per-block counts: nblocks is O(threads), so
     // sequential is both simplest and fastest.
     let mut total = 0usize;

@@ -10,6 +10,9 @@
 //!   GPU's massively-threaded execution on CPU threads);
 //! - parallel primitives over index ranges: [`parallel_for`],
 //!   [`parallel_reduce`], [`scan::exclusive_scan`] and friends;
+//! - safe disjoint writes into a slice ([`parallel_for_mut`],
+//!   [`parallel_for_chunks_mut`], [`parallel_for_weighted_mut`]), so
+//!   kernels fill per-index outputs without `unsafe`;
 //! - parallel sorts ([`sort::par_radix_sort_pairs`], a bitonic sort used by
 //!   the device-sim deduplication path) and a sort-based parallel random
 //!   permutation ([`perm::random_permutation`]), mirroring the paper's
@@ -112,90 +115,52 @@ where
         return;
     }
     let threads = policy.effective_threads(n);
-    if threads <= 1 || pool::in_worker() {
-        // Nested regions (inside a worker) fold into the parent dispatch's
-        // busy time; top-level inline regions are recorded as one-lane
-        // dispatches so small-corpus runs still report every kernel.
-        if pool::in_worker() {
-            f(0..n);
-        } else {
-            match profile::session() {
-                None => f(0..n),
-                Some(s) => s.run_inline(op, n, || f(0..n)),
-            }
-        }
-        return;
-    }
     let chunk = policy.chunk_size(n, threads);
-    let body = |_wid: usize, claim: &dyn Fn(usize) -> usize| {
-        // Each participant claims chunks until the range is exhausted.
-        loop {
-            let start = claim(chunk);
-            if start >= n {
-                break;
-            }
-            let end = (start + chunk).min(n);
-            f(start..end);
-        }
-    };
-    match profile::session() {
-        None => pool::global().dispatch(threads, &body),
-        Some(s) => s.run_dispatch(op, policy.backend.name(), n, chunk, threads, &body),
-    }
-}
-
-/// Run `f(b)` for every block `b in 0..nblocks`, sizing the worker team by
-/// `items` — the amount of *underlying* work — rather than by `nblocks`.
-///
-/// Blocked kernels (the two-phase scan, the radix-sort passes) decompose
-/// `items` elements into a few dozen fixed blocks and want one team member
-/// per block's worth of work; routing the block loop through
-/// [`parallel_for`] would size the team by the tiny block *count* and run
-/// the whole loop inline. Blocks are claimed one at a time for dynamic
-/// balancing. Under the profiler this dispatch reports *blocks* as its work
-/// units.
-pub fn parallel_for_blocks<F>(policy: &ExecPolicy, items: usize, nblocks: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    if nblocks == 0 {
-        return;
-    }
-    let threads = policy.effective_threads(items).min(nblocks);
-    if threads <= 1 || pool::in_worker() {
-        let run = || {
-            for b in 0..nblocks {
-                f(b);
-            }
-        };
-        if pool::in_worker() {
-            run();
-        } else {
-            match profile::session() {
-                None => run(),
-                Some(s) => s.run_inline("par_blocks", nblocks, run),
-            }
-        }
-        return;
-    }
     let body = |_wid: usize, claim: &dyn Fn(usize) -> usize| loop {
-        let b = claim(1);
-        if b >= nblocks {
+        // Each participant claims chunks until the range is exhausted.
+        let start = claim(chunk);
+        if start >= n {
             break;
         }
-        f(b);
+        f(start..(start + chunk).min(n));
     };
-    match profile::session() {
-        None => pool::global().dispatch(threads, &body),
-        Some(s) => s.run_dispatch(
-            "par_blocks",
-            policy.backend.name(),
-            nblocks,
-            1,
-            threads,
-            &body,
-        ),
+    run_team(policy, threads, op, n, chunk, || f(0..n), &body);
+}
+
+/// The one dispatch decision behind every team primitive: run `inline` on
+/// the calling thread, or `body` as each of `threads` pool participants.
+///
+/// Nested regions (inside a worker) run inline and fold into the parent
+/// dispatch's busy time. A top-level region with a one-worker team runs
+/// inline too, recorded under a profiling session as a one-lane dispatch
+/// so small-corpus runs still report every kernel. Otherwise the pool runs
+/// `body`, observed by the session if one is installed; `units` and
+/// `chunk` describe the claim loop to the profiler, and `op` tags it.
+/// Returns `inline`'s result, or `None` when the pool ran the region.
+fn run_team<R>(
+    policy: &ExecPolicy,
+    threads: usize,
+    op: &'static str,
+    units: usize,
+    chunk: usize,
+    inline: impl FnOnce() -> R,
+    body: &pool::JobFn<'_>,
+) -> Option<R> {
+    if pool::in_worker() {
+        return Some(inline());
     }
+    let session = profile::session();
+    if threads <= 1 {
+        return Some(match session {
+            None => inline(),
+            Some(s) => s.run_inline(op, units, inline),
+        });
+    }
+    match session {
+        None => pool::global().dispatch(threads, body),
+        Some(s) => s.run_dispatch(op, policy.backend.name(), units, chunk, threads, body),
+    }
+    None
 }
 
 /// Fold disjoint chunks of `0..n` into **per-participant** accumulators
@@ -253,22 +218,6 @@ where
         return Vec::new();
     }
     let threads = policy.effective_threads(n);
-    if threads <= 1 || pool::in_worker() {
-        let run = || {
-            let mut s = init();
-            fold(&mut s, 0..n);
-            s
-        };
-        let s = if pool::in_worker() {
-            run()
-        } else {
-            match profile::session() {
-                None => run(),
-                Some(sess) => sess.run_inline("par_for", n, run),
-            }
-        };
-        return vec![s];
-    }
     let chunk = policy.chunk_size(n, threads);
     let out = std::sync::Mutex::new(Vec::with_capacity(threads));
     let body = |_wid: usize, claim: &dyn Fn(usize) -> usize| {
@@ -278,16 +227,19 @@ where
             if start >= n {
                 break;
             }
-            let end = (start + chunk).min(n);
-            fold(&mut s, start..end);
+            fold(&mut s, start..(start + chunk).min(n));
         }
         out.lock().unwrap().push(s);
     };
-    match profile::session() {
-        None => pool::global().dispatch(threads, &body),
-        Some(s) => s.run_dispatch("par_for", policy.backend.name(), n, chunk, threads, &body),
+    let inline = || {
+        let mut s = init();
+        fold(&mut s, 0..n);
+        s
+    };
+    match run_team(policy, threads, "par_for", n, chunk, inline, &body) {
+        Some(s) => vec![s],
+        None => out.into_inner().unwrap(),
     }
-    out.into_inner().unwrap()
 }
 
 /// Run `f(i)` for every `i in 0..k` where each index is a *large*
@@ -305,26 +257,24 @@ pub fn parallel_for_weighted<F>(policy: &ExecPolicy, items: usize, k: usize, f: 
 where
     F: Fn(usize) + Sync,
 {
+    parallel_for_weighted_op(policy, items, k, "par_for", f);
+}
+
+/// [`parallel_for_weighted`] under the profiler tag `op`: the blocked
+/// kernels (scan, radix sort) tag their fixed-block loops `par_blocks`.
+pub(crate) fn parallel_for_weighted_op<F>(
+    policy: &ExecPolicy,
+    items: usize,
+    k: usize,
+    op: &'static str,
+    f: F,
+) where
+    F: Fn(usize) + Sync,
+{
     if k == 0 {
         return;
     }
     let threads = policy.effective_threads(items).min(k);
-    if threads <= 1 || pool::in_worker() {
-        let run = || {
-            for i in 0..k {
-                f(i);
-            }
-        };
-        if pool::in_worker() {
-            run();
-        } else {
-            match profile::session() {
-                None => run(),
-                Some(s) => s.run_inline("par_for", k, run),
-            }
-        }
-        return;
-    }
     let body = |_wid: usize, claim: &dyn Fn(usize) -> usize| loop {
         let i = claim(1);
         if i >= k {
@@ -332,41 +282,128 @@ where
         }
         f(i);
     };
-    match profile::session() {
-        None => pool::global().dispatch(threads, &body),
-        Some(s) => s.run_dispatch("par_for", policy.backend.name(), k, 1, threads, &body),
+    let inline = || (0..k).for_each(&f);
+    run_team(policy, threads, op, k, 1, inline, &body);
+}
+
+/// An exclusively borrowed slice that one dispatch's participants share,
+/// each taking only the disjoint index ranges it claimed — the one place
+/// the substrate turns a claim into a `&mut`.
+struct Disjoint<'a, T> {
+    ptr: *mut T,
+    len: usize,
+    _borrow: std::marker::PhantomData<&'a mut [T]>,
+}
+
+// SAFETY: shared threads only read `ptr` and `len`, which never change,
+// and reach the elements only through `range`, whose contract gives each
+// `&mut` view to one thread at a time: sound when `T` may move between
+// threads, hence `T: Send`.
+unsafe impl<T: Send> Sync for Disjoint<'_, T> {}
+
+impl<'a, T> Disjoint<'a, T> {
+    fn new(s: &'a mut [T]) -> Self {
+        Self {
+            ptr: s.as_mut_ptr(),
+            len: s.len(),
+            _borrow: std::marker::PhantomData,
+        }
+    }
+
+    /// The view of `r`.
+    ///
+    /// # Safety
+    /// `r` must lie within the slice, and no other live view may overlap
+    /// it.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn range(&self, r: Range<usize>) -> &mut [T] {
+        debug_assert!(r.start <= r.end && r.end <= self.len);
+        // SAFETY: in bounds and unaliased by the caller's contract; the
+        // borrow `'a` keeps the slice alive and otherwise unused.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(r.start), r.len()) }
     }
 }
 
-/// Fill `dst` with copies of `value` in parallel.
-pub fn parallel_fill<T: Copy + Send + Sync>(policy: &ExecPolicy, dst: &mut [T], value: T) {
-    let base = dst.as_mut_ptr() as usize;
-    let n = dst.len();
-    parallel_for_chunks(policy, n, move |r| {
-        // SAFETY: chunks are disjoint, so each element is written by exactly
-        // one participant; `base` outlives the call because `dst` is borrowed
-        // mutably for the duration.
-        unsafe {
-            let p = (base as *mut T).add(r.start);
-            for i in 0..r.len() {
-                p.add(i).write(value);
-            }
+/// Run `f(range, &mut out[range])` over disjoint chunks covering `out`,
+/// chunked like [`parallel_for_chunks`] — the per-chunk form of the safe
+/// disjoint write, for kernels that keep scratch per chunk (SpGEMM's
+/// symbolic marker).
+///
+/// ```
+/// use mlcg_par::{parallel_for_chunks_mut, ExecPolicy};
+///
+/// let mut squares = vec![0u64; 1000];
+/// parallel_for_chunks_mut(&ExecPolicy::host(), &mut squares, |r, out| {
+///     for (i, x) in r.zip(out) {
+///         *x = (i * i) as u64;
+///     }
+/// });
+/// assert_eq!(squares[31], 961);
+/// ```
+pub fn parallel_for_chunks_mut<T, F>(policy: &ExecPolicy, out: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(Range<usize>, &mut [T]) + Sync,
+{
+    let n = out.len();
+    let out = Disjoint::new(out);
+    parallel_for_chunks(policy, n, |r| {
+        // SAFETY: the chunks of one dispatch are disjoint.
+        f(r.clone(), unsafe { out.range(r) })
+    });
+}
+
+/// Run `f(i, &mut out[i])` for every index of `out`, chunked like
+/// [`parallel_for`] — the per-index form of the safe disjoint write that
+/// replaces hand-rolled `unsafe` pointer writes in per-vertex kernels.
+///
+/// ```
+/// use mlcg_par::{parallel_for_mut, ExecPolicy};
+///
+/// let mut ids = vec![0u32; 1000];
+/// parallel_for_mut(&ExecPolicy::host(), &mut ids, |i, x| *x = i as u32);
+/// assert!(ids.iter().enumerate().all(|(i, &x)| x == i as u32));
+/// ```
+pub fn parallel_for_mut<T, F>(policy: &ExecPolicy, out: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    parallel_for_chunks_mut(policy, out, |r, chunk| {
+        for (i, x) in r.zip(chunk) {
+            f(i, x);
         }
     });
 }
 
-/// Copy `src` into `dst` in parallel. Panics if lengths differ.
-pub fn parallel_copy<T: Copy + Send + Sync>(policy: &ExecPolicy, dst: &mut [T], src: &[T]) {
-    assert_eq!(dst.len(), src.len(), "parallel_copy: length mismatch");
-    let base = dst.as_mut_ptr() as usize;
-    parallel_for_chunks(policy, src.len(), move |r| {
-        // SAFETY: disjoint chunks; see `parallel_fill`.
-        unsafe {
-            let p = (base as *mut T).add(r.start);
-            for (i, v) in src[r.clone()].iter().enumerate() {
-                p.add(i).write(*v);
-            }
-        }
+/// Run `f(i, &mut items[i])` for every index, one claim per item, sizing
+/// the team by `work` (the underlying element count) like
+/// [`parallel_for_weighted`] — the form for a few large items such as
+/// per-block histogram rows or per-task output runs.
+pub fn parallel_for_weighted_mut<T, F>(policy: &ExecPolicy, work: usize, items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    parallel_for_weighted_mut_op(policy, work, items, "par_for", f);
+}
+
+/// [`parallel_for_weighted_mut`] under the profiler tag `op`.
+pub(crate) fn parallel_for_weighted_mut_op<T, F>(
+    policy: &ExecPolicy,
+    work: usize,
+    items: &mut [T],
+    op: &'static str,
+    f: F,
+) where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let k = items.len();
+    let items = Disjoint::new(items);
+    parallel_for_weighted_op(policy, work, k, op, |i| {
+        // SAFETY: every index is claimed exactly once per dispatch.
+        f(i, unsafe { &mut items.range(i..i + 1)[0] })
     });
 }
 
@@ -411,16 +448,63 @@ mod tests {
         }
     }
 
+    /// Run each safe disjoint-write form over fresh `(hits, index)` slots
+    /// and check every slot was written exactly once, by its own index.
+    fn check_disjoint_writes(policy: &ExecPolicy) {
+        let once = |v: &[(u32, usize)], form: &str| {
+            assert!(
+                v.iter()
+                    .enumerate()
+                    .all(|(i, &(hits, at))| hits == 1 && at == i),
+                "{form} under {policy:?} missed or duplicated a slot"
+            );
+        };
+        let fresh = |n: usize| vec![(0u32, usize::MAX); n];
+
+        let mut v = fresh(12_345);
+        parallel_for_mut(policy, &mut v, |i, x| *x = (x.0 + 1, i));
+        once(&v, "parallel_for_mut");
+
+        let mut v = fresh(12_345);
+        parallel_for_chunks_mut(policy, &mut v, |r, out| {
+            assert_eq!(r.len(), out.len());
+            for (i, x) in r.zip(out) {
+                *x = (x.0 + 1, i);
+            }
+        });
+        once(&v, "parallel_for_chunks_mut");
+
+        // A few items over much work: a real team under every policy.
+        let mut v = fresh(13);
+        parallel_for_weighted_mut(policy, 1 << 16, &mut v, |i, x| *x = (x.0 + 1, i));
+        once(&v, "parallel_for_weighted_mut");
+
+        parallel_for_mut(policy, &mut [0u8; 0], |_, _| panic!("must not be called"));
+    }
+
     #[test]
-    fn fill_and_copy() {
+    fn disjoint_writes_touch_every_slot_once() {
         for policy in ExecPolicy::all_test_policies() {
-            let mut v = vec![0u32; 12_345];
-            parallel_fill(&policy, &mut v, 7);
-            assert!(v.iter().all(|&x| x == 7));
-            let src: Vec<u32> = (0..12_345).collect();
-            parallel_copy(&policy, &mut v, &src);
-            assert_eq!(v, src);
+            check_disjoint_writes(&policy);
         }
+    }
+
+    #[test]
+    fn disjoint_writes_inside_a_worker_touch_every_slot_once() {
+        let outer = ExecPolicy {
+            backend: Backend::Host,
+            threads: 4,
+            grain: 1,
+        };
+        let ran = AtomicUsize::new(0);
+        parallel_for(&outer, 8, |_| {
+            assert!(pool::in_worker());
+            for policy in ExecPolicy::all_test_policies() {
+                check_disjoint_writes(&policy);
+            }
+            ran.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(ran.load(Ordering::Relaxed), 8);
     }
 
     #[test]

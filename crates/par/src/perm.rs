@@ -4,7 +4,7 @@
 
 use crate::rng::hash_index;
 use crate::sort::par_radix_sort_pairs;
-use crate::{parallel_for, profile, ExecPolicy};
+use crate::{parallel_for, parallel_for_mut, profile, ExecPolicy};
 use std::sync::atomic::Ordering;
 
 /// A uniformly random permutation of `0..n` (as `u32` labels).
@@ -34,25 +34,13 @@ pub fn random_permutation_in(
     keys.resize(n, 0);
     {
         let _k = profile::kernel("keys");
-        let base = keys.as_mut_ptr() as usize;
-        parallel_for(policy, n, move |i| {
-            // SAFETY: index-disjoint writes.
-            unsafe {
-                (base as *mut u64).add(i).write(hash_index(seed, i as u64));
-            }
-        });
+        parallel_for_mut(policy, keys, |i, k| *k = hash_index(seed, i as u64));
     }
     out.clear();
     out.resize(n, 0);
     {
         let _k = profile::kernel("ids");
-        let base = out.as_mut_ptr() as usize;
-        parallel_for(policy, n, move |i| {
-            // SAFETY: index-disjoint writes.
-            unsafe {
-                (base as *mut u32).add(i).write(i as u32);
-            }
-        });
+        parallel_for_mut(policy, out, |i, x| *x = i as u32);
     }
     par_radix_sort_pairs(policy, keys, out);
 }

@@ -5,7 +5,7 @@
 //! the coarse-graph construction (`ParPrefixSums` in the paper's
 //! Algorithm 6) to turn degree counts into CSR row offsets.
 
-use crate::{parallel_for_blocks, profile, ExecPolicy};
+use crate::{parallel_for_weighted_mut_op, parallel_for_weighted_op, profile, ExecPolicy};
 use std::ops::AddAssign;
 
 /// Trait bound for scannable element types.
@@ -37,32 +37,24 @@ fn scan_impl<T: ScanElem>(policy: &ExecPolicy, data: &mut [T], inclusive: bool) 
     }
 
     // Fixed block decomposition (independent of the dynamic claimer) so the
-    // fix-up pass knows each block's offset. The block loops go through
-    // `parallel_for_blocks`, which sizes the team by the *element* count —
-    // a plain `parallel_for` over the few dozen blocks would fall below the
-    // policy grain and run the whole scan inline.
+    // fix-up pass knows each block's offset. The block loops claim one
+    // block at a time with the team sized by the *element* count, tagged
+    // `par_blocks` — a plain `parallel_for` over the few dozen blocks
+    // would fall below the policy grain and run the whole scan inline.
     let nblocks = (threads * 4).min(n);
     let block = n.div_ceil(nblocks);
     let nblocks = n.div_ceil(block);
-
     let _k = profile::kernel("scan");
     let mut sums: Vec<T> = vec![T::default(); nblocks];
     {
         let _k = profile::kernel("block_sums");
-        let base = data.as_ptr() as usize;
-        let sums_base = sums.as_mut_ptr() as usize;
-        parallel_for_blocks(policy, n, nblocks, move |b| {
-            let start = b * block;
-            let end = ((b + 1) * block).min(n);
+        let data: &[T] = data;
+        parallel_for_weighted_mut_op(policy, n, &mut sums, "par_blocks", |b, sum| {
             let mut acc = T::default();
-            // SAFETY: blocks are disjoint; reads of `data`, one write per block.
-            unsafe {
-                let d = base as *const T;
-                for i in start..end {
-                    acc += *d.add(i);
-                }
-                (sums_base as *mut T).add(b).write(acc);
+            for &v in &data[b * block..((b + 1) * block).min(n)] {
+                acc += v;
             }
+            *sum = acc;
         });
     }
     let total = seq_scan(&mut sums, false);
@@ -70,7 +62,7 @@ fn scan_impl<T: ScanElem>(policy: &ExecPolicy, data: &mut [T], inclusive: bool) 
         let _k = profile::kernel("fixup");
         let base = data.as_mut_ptr() as usize;
         let sums_ref = &sums;
-        parallel_for_blocks(policy, n, nblocks, move |b| {
+        parallel_for_weighted_op(policy, n, nblocks, "par_blocks", move |b| {
             let start = b * block;
             let end = ((b + 1) * block).min(n);
             let mut acc = sums_ref[b];

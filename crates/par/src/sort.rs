@@ -12,7 +12,7 @@
 //!   team-level bitonic sorts the paper uses on the GPU.
 
 use crate::scan::exclusive_scan;
-use crate::{parallel_for_blocks, profile, ExecPolicy};
+use crate::{parallel_for_weighted_op, profile, ExecPolicy};
 
 const RADIX_BITS: usize = 8;
 const RADIX: usize = 1 << RADIX_BITS;
@@ -57,7 +57,7 @@ pub fn par_radix_sort_pairs<V: Copy + Default + Send + Sync>(
     let mut counts: Vec<usize> = vec![0; RADIX * nblocks];
 
     // Label every pass for the dispatch profiler; the block loops size
-    // their team by the pair count (`parallel_for_blocks`) — a plain
+    // their team by the pair count and are tagged `par_blocks` — a plain
     // `parallel_for` over the few dozen blocks would fall below the policy
     // grain and run each pass inline.
     let _k = profile::kernel("radix_sort");
@@ -71,7 +71,7 @@ pub fn par_radix_sort_pairs<V: Copy + Default + Send + Sync>(
             let (src_k, _src_v, _dst_k, _dst_v) =
                 buffers(&mut *keys, &mut *vals, &mut kbuf, &mut vbuf, src_is_orig);
             let counts_base = counts.as_mut_ptr() as usize;
-            parallel_for_blocks(policy, n, nblocks, move |b| {
+            parallel_for_weighted_op(policy, n, nblocks, "par_blocks", move |b| {
                 let start = b * block;
                 let end = ((b + 1) * block).min(n);
                 // SAFETY: each block writes a disjoint column of `counts`.
@@ -92,7 +92,7 @@ pub fn par_radix_sort_pairs<V: Copy + Default + Send + Sync>(
             let dst_k_base = dst_k.as_mut_ptr() as usize;
             let dst_v_base = dst_v.as_mut_ptr() as usize;
             let counts_ref = &counts;
-            parallel_for_blocks(policy, n, nblocks, move |b| {
+            parallel_for_weighted_op(policy, n, nblocks, "par_blocks", move |b| {
                 let start = b * block;
                 let end = ((b + 1) * block).min(n);
                 let mut cursors = [0usize; RADIX];

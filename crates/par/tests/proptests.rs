@@ -10,8 +10,8 @@ use mlcg_par::proplite::run_cases;
 use mlcg_par::scan::{exclusive_scan, inclusive_scan};
 use mlcg_par::sort::{bitonic_sort_pairs, insertion_sort_pairs, par_radix_sort_pairs};
 use mlcg_par::{
-    parallel_count, parallel_fill, parallel_reduce_max, parallel_reduce_min, parallel_reduce_sum,
-    ExecPolicy,
+    parallel_count, parallel_for_mut, parallel_reduce_max, parallel_reduce_min,
+    parallel_reduce_sum, ExecPolicy,
 };
 
 #[test]
@@ -165,7 +165,7 @@ fn fill_writes_everything() {
         let value = g.u64() as u32;
         for policy in ExecPolicy::all_test_policies() {
             let mut buf = vec![!value; n];
-            parallel_fill(&policy, &mut buf, value);
+            parallel_for_mut(&policy, &mut buf, |_, x| *x = value);
             assert!(buf.iter().all(|&x| x == value));
         }
     });

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! # mlcg-partition — multilevel graph bisection
 //!
 //! The paper's evaluation vehicle: multilevel bisection with either

@@ -1,25 +1,20 @@
 //! Parallel SpMV, transpose, and small dense-vector helpers.
 
 use crate::matrix::CsrMatrix;
-use mlcg_par::{parallel_for, profile, ExecPolicy};
+use mlcg_par::{parallel_for_mut, profile, ExecPolicy};
 
 /// Parallel sparse matrix–vector product `y = A·x`.
 pub fn spmv(policy: &ExecPolicy, a: &CsrMatrix, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), a.n_cols, "spmv: x length");
     assert_eq!(y.len(), a.n_rows, "spmv: y length");
     let _k = profile::kernel("spmv");
-    let y_base = y.as_mut_ptr() as usize;
-    parallel_for(policy, a.n_rows, move |i| {
+    parallel_for_mut(policy, y, |i, yi| {
         let (cols, vals) = a.row(i);
         let mut acc = 0.0;
         for (&c, &v) in cols.iter().zip(vals) {
             acc += v * x[c as usize];
         }
-        // SAFETY: one write per row index; rows are disjoint across the
-        // parallel iteration.
-        unsafe {
-            (y_base as *mut f64).add(i).write(acc);
-        }
+        *yi = acc;
     });
 }
 

@@ -10,7 +10,7 @@
 use crate::matrix::CsrMatrix;
 use mlcg_par::scan::exclusive_scan;
 use mlcg_par::sort::insertion_sort_pairs;
-use mlcg_par::{parallel_for_chunks, profile, ExecPolicy};
+use mlcg_par::{parallel_for_chunks, parallel_for_chunks_mut, profile, ExecPolicy};
 
 /// `C = A · B`, exact (no numerically cancelled zeros are dropped).
 pub fn spgemm(policy: &ExecPolicy, a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
@@ -23,11 +23,10 @@ pub fn spgemm(policy: &ExecPolicy, a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
     let mut row_nnz = vec![0usize; n + 1];
     {
         let _k = profile::kernel("symbolic");
-        let base = row_nnz.as_mut_ptr() as usize;
-        parallel_for_chunks(policy, n, move |range| {
+        parallel_for_chunks_mut(policy, &mut row_nnz[..n], |range, out| {
             // Stamped dense marker, shared by all rows of this chunk.
             let mut marker = vec![u32::MAX; m];
-            for i in range {
+            for (i, slot) in range.zip(out) {
                 let stamp = i as u32;
                 let mut cnt = 0usize;
                 let (acols, _) = a.row(i);
@@ -40,10 +39,7 @@ pub fn spgemm(policy: &ExecPolicy, a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
                         }
                     }
                 }
-                // SAFETY: one write per row, rows disjoint across chunks.
-                unsafe {
-                    (base as *mut usize).add(i).write(cnt);
-                }
+                *slot = cnt;
             }
         });
     }
