@@ -47,6 +47,25 @@ impl Offsets {
         }
     }
 
+    /// Append one offset under the width rule: the array stays narrow
+    /// until a value exceeds `u32::MAX`, then widens once, keeping its
+    /// reserved capacity. Offsets are monotone, so pushing them in order
+    /// gives the representation [`Offsets::from_usize`] would pick.
+    pub fn push(&mut self, off: usize) {
+        match self {
+            Offsets::U32(v) => match u32::try_from(off) {
+                Ok(o) => v.push(o),
+                Err(_) => {
+                    let mut wide = Vec::with_capacity(v.capacity().max(v.len() + 1));
+                    wide.extend(v.iter().map(|&x| x as usize));
+                    wide.push(off);
+                    *self = Offsets::Wide(wide);
+                }
+            },
+            Offsets::Wide(v) => v.push(off),
+        }
+    }
+
     /// Number of stored offsets (`n + 1` for a CSR with `n` rows).
     #[inline]
     pub fn len(&self) -> usize {
@@ -557,6 +576,22 @@ mod tests {
         assert_eq!(o.range(1), g.row_range(1));
         o.widen(); // idempotent
         assert!(!o.is_u32());
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn push_keeps_the_width_rule() {
+        let mut o = Offsets::U32(Vec::with_capacity(4));
+        for x in [0, 7, u32::MAX as usize] {
+            o.push(x);
+        }
+        assert!(o.is_u32(), "values up to u32::MAX stay narrow");
+        o.push(u32::MAX as usize + 1);
+        assert!(!o.is_u32(), "one value past u32::MAX widens");
+        assert_eq!(
+            o,
+            Offsets::from_usize(vec![0, 7, u32::MAX as usize, u32::MAX as usize + 1])
+        );
     }
 
     #[test]

@@ -5,17 +5,21 @@
 //! pipelines on real downloaded data. DOT export is used by the Fig. 1/2
 //! reproductions.
 //!
-//! Every reader is a [`stream::EdgeSource`]: the file is parsed a bounded
-//! chunk of edges at a time and fed through the two-pass
+//! A METIS file is already a CSR (line `u` is row `u`), so [`read_metis`]
+//! reads it once, sequentially, straight into the final arrays: no edge
+//! staging, no builder, and it ignores [`IngestOptions`]. Its tokens are
+//! separated by ASCII whitespace.
+//!
+//! Matrix Market files and edge lists are edge lists, so their readers are
+//! [`stream::EdgeSource`]s: the file is parsed a bounded chunk of edges at
+//! a time and fed through the two-pass
 //! [`StreamCsrBuilder`](crate::builder::StreamCsrBuilder), so ingesting a
-//! graph never materializes its full edge list. The `read_*` convenience
-//! wrappers keep their original signatures; [`ingest_auto`] exposes the
+//! graph never materializes its full edge list. [`ingest_auto`] exposes the
 //! chunk-size knob and the [`stream::IngestStats`] telemetry.
 
 use crate::builder::MergeMode;
-use crate::csr::{Csr, VId, Weight};
+use crate::csr::{Csr, Offsets, VId, Weight};
 use crate::stream::{self, EdgeSource, IngestOptions, IngestStats};
-use std::collections::VecDeque;
 use std::io::{self, BufRead, BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 
@@ -184,209 +188,301 @@ pub fn write_matrix_market(g: &Csr, path: &Path) -> io::Result<()> {
 // METIS
 // ---------------------------------------------------------------------------
 
-/// Streaming [`EdgeSource`] over a METIS `.graph` file.
+/// Read a METIS `.graph` file in one sequential pass, straight into the
+/// CSR. Supports `fmt` `0`/`00`/`000` (unweighted) and `1`/`01`/`001`
+/// (edge weights); vertex-weight formats are rejected.
 ///
-/// Supports `fmt` `0`/`00`/`000` (unweighted) and `1`/`01`/`001` (edge
-/// weights); vertex-weight formats are rejected. Each undirected edge must
-/// appear in both endpoints' adjacency lines, so a well-formed file holds
-/// exactly `2m` entries — the source counts every parsed entry and errors
-/// on a header mismatch instead of silently dropping the unpaired half.
-pub struct MetisSource {
-    path: PathBuf,
-    n: usize,
-    m_header: usize,
-    has_ewgt: bool,
-    lines: FileLines,
-    /// Next vertex line to parse (0-based).
-    u: usize,
-    /// Entries with `v - 1 > u` (each edge's copy in its lower endpoint's
-    /// line); must end at `m_header`.
-    upper_entries: usize,
-    /// Entries with `v - 1 < u` (the mirrored copies); must also end at
-    /// `m_header`.
-    lower_entries: usize,
-    /// Edges from a partially-emitted vertex line.
-    pending: VecDeque<Edge>,
-    done: bool,
-}
-
-impl MetisSource {
-    /// Open and parse the header line.
-    pub fn open(path: &Path) -> io::Result<Self> {
-        let (n, m_header, has_ewgt, lines) = Self::open_past_header(path)?;
-        Ok(MetisSource {
-            path: path.to_path_buf(),
-            n,
-            m_header,
-            has_ewgt,
-            lines,
-            u: 0,
-            upper_entries: 0,
-            lower_entries: 0,
-            pending: VecDeque::new(),
-            done: false,
-        })
-    }
-
-    /// The edge count the header declares.
-    pub fn m_header(&self) -> usize {
-        self.m_header
-    }
-
-    fn open_past_header(path: &Path) -> io::Result<(usize, usize, bool, FileLines)> {
-        let file = std::fs::File::open(path)?;
-        let mut lines = io::BufReader::new(file).lines();
-        let header = loop {
-            match lines.next() {
-                Some(Ok(l)) if l.trim().is_empty() || l.starts_with('%') => continue,
-                Some(Ok(l)) => break l,
-                Some(Err(e)) => return Err(e),
-                None => return Err(io::Error::new(io::ErrorKind::InvalidData, "empty file")),
-            }
-        };
-        let mut it = header.split_whitespace();
-        let n: usize = parse(it.next())?;
-        let m: usize = parse(it.next())?;
-        let fmt = it.next().unwrap_or("0");
-        let has_ewgt = match fmt {
-            "0" | "00" | "000" => false,
-            "1" | "01" | "001" => true,
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unsupported METIS fmt {fmt} (vertex weights not supported)"),
-                ))
-            }
-        };
-        Ok((n, m, has_ewgt, lines))
-    }
-}
-
-impl EdgeSource for MetisSource {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn reset(&mut self) -> io::Result<()> {
-        let (n, m, has_ewgt, lines) = Self::open_past_header(&self.path)?;
-        debug_assert!(n == self.n && m == self.m_header && has_ewgt == self.has_ewgt);
-        self.lines = lines;
-        self.u = 0;
-        self.upper_entries = 0;
-        self.lower_entries = 0;
-        self.pending.clear();
-        self.done = false;
-        Ok(())
-    }
-
-    fn next_chunk(&mut self, out: &mut Vec<Edge>, max: usize) -> io::Result<usize> {
-        out.clear();
-        while out.len() < max {
-            if let Some(e) = self.pending.pop_front() {
-                out.push(e);
-                continue;
-            }
-            if self.done {
-                break;
-            }
-            let Some(line) = self.lines.next() else {
-                self.done = true;
-                if self.u != self.n {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("expected {} vertex lines, found {}", self.n, self.u),
-                    ));
-                }
-                if self.upper_entries != self.m_header || self.lower_entries != self.m_header {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "adjacency entry count mismatch: {} upper / {} lower triangle \
-                             entries, header declares m = {}; asymmetric or mis-declared file",
-                            self.upper_entries, self.lower_entries, self.m_header
-                        ),
-                    ));
-                }
-                break;
-            };
-            let line = line?;
-            if line.starts_with('%') {
-                continue;
-            }
-            if self.u >= self.n {
-                if !line.trim().is_empty() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "too many vertex lines",
-                    ));
-                }
-                continue;
-            }
-            let u = self.u as VId;
-            let mut it = line.split_whitespace();
-            while let Some(tok) = it.next() {
-                let v: usize = tok
-                    .parse()
-                    .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad adjacency"))?;
-                let w: Weight = if self.has_ewgt { parse(it.next())? } else { 1 };
-                if v == 0 || v > self.n {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "vertex id out of range",
-                    ));
-                }
-                if w == 0 {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "zero edge weight",
-                    ));
-                }
-                if v - 1 == self.u {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("self loop on vertex {} (METIS forbids them)", v),
-                    ));
-                }
-                if v - 1 > self.u {
-                    self.upper_entries += 1;
-                    // Keep each undirected edge once (the builder
-                    // symmetrizes); the mirrored lower-triangle copy is
-                    // only counted, below.
-                    let e = (u, (v - 1) as VId, w);
-                    if out.len() < max {
-                        out.push(e);
-                    } else {
-                        self.pending.push_back(e);
-                    }
-                } else {
-                    self.lower_entries += 1;
-                }
-            }
-            self.u += 1;
-        }
-        Ok(out.len())
-    }
-}
-
-/// Read a METIS `.graph` file (streamed; optionally with edge weights, fmt
-/// `1` or `001`; vertex weights are not supported). Errors if the built
-/// graph's edge count disagrees with the header — malformed files that
-/// list an edge twice on one side and never on the other are rejected
-/// rather than silently mangled.
+/// A METIS file already is a CSR: line `u` lists row `u`. The reader reads
+/// each line once into a reused byte buffer and appends its entries to the
+/// final `adj`/`wgt`, with no edge staging and no builder, so it ignores
+/// [`IngestOptions`] (both `chunk_edges` and `policy`). Tokens are separated
+/// by the ASCII bytes `char::is_whitespace` accepts (space, `\t`, `\n`,
+/// VT, FF, `\r`), ids and weights may carry a leading `+`, lines starting
+/// with `%` are comments, and a row may list its neighbors in any order: it
+/// is sorted in place.
+///
+/// The file must describe a symmetric graph exactly, or the read fails with
+/// [`io::ErrorKind::InvalidData`] instead of silently dropping entries:
+/// - exactly `n` vertex lines, ids in `1..=n`, no self loop, no zero
+///   weight, no neighbor listed twice in one row;
+/// - upper-triangle (`v > u`) and lower-triangle (`v < u`) entries each
+///   number the header's `m`;
+/// - every entry `(u, v, w)` meets its mirror `(v, u, w)`.
+///
+/// Every reservation is capped by the file's length (an entry takes at
+/// least two bytes and a vertex line at least one), so a header that
+/// overstates `n` or `m` cannot size an allocation.
 pub fn read_metis(path: &Path) -> io::Result<Csr> {
-    let mut src = MetisSource::open(path)?;
-    let m_header = src.m_header();
-    let (g, _) = stream::build_csr(&mut src, MergeMode::Sum, &IngestOptions::default())?;
-    if g.m() != m_header {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "graph has {} edges after dedup but header declares {m_header}",
-                g.m()
-            ),
-        ));
+    let file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    let mut r = io::BufReader::new(file);
+    let mut line = Vec::new();
+
+    // Header: the first line that is neither blank nor a comment.
+    let mut header_bytes = 0u64;
+    let (n, m, has_ewgt) = loop {
+        line.clear();
+        let k = r.read_until(b'\n', &mut line)?;
+        if k == 0 {
+            return Err(invalid("empty file"));
+        }
+        header_bytes += k as u64;
+        utf8(&line)?;
+        let mut it = line.split(|&b| is_space(b)).filter(|t| !t.is_empty());
+        let Some(first) = it.next().filter(|_| !line.starts_with(b"%")) else {
+            continue;
+        };
+        let n = number_field(Some(first))?;
+        let m = number_field(it.next())?;
+        let has_ewgt = match it.next().unwrap_or(b"0") {
+            b"0" | b"00" | b"000" => false,
+            b"1" | b"01" | b"001" => true,
+            fmt => {
+                return Err(invalid(format!(
+                    "unsupported METIS fmt {} (vertex weights not supported)",
+                    String::from_utf8_lossy(fmt)
+                )))
+            }
+        };
+        break (n, m, has_ewgt);
+    };
+    if n > u64::from(VId::MAX) {
+        return Err(invalid(format!(
+            "vertex count {n} exceeds the u32 id space"
+        )));
     }
-    Ok(g)
+    let n = n as usize;
+
+    let body = len.saturating_sub(header_bytes);
+    let entries = usize::try_from(m.saturating_mul(2).min(body / 2 + 1)).unwrap_or(usize::MAX);
+    let rows = usize::try_from(body).map_or(n, |b| b.min(n));
+    let mut adj: Vec<VId> = Vec::with_capacity(entries);
+    let mut wgt: Vec<Weight> = Vec::with_capacity(entries);
+    let mut xadj = Offsets::U32(Vec::with_capacity(rows + 1));
+    xadj.push(0);
+    // `mirror[x]`: the first upper entry of row `x` whose mirror has not
+    // been seen. Mirrors of row `x`'s upper entries arrive in ascending row
+    // order, so each match advances the cursor by one.
+    let mut mirror: Vec<usize> = Vec::with_capacity(rows);
+    let (mut nums, mut scratch) = (Vec::new(), Vec::new());
+    let (mut upper, mut lower) = (0u64, 0u64);
+    // The first entry found without its mirror. It is reported after the
+    // count check, so a file whose counts disagree gets the count message.
+    let mut unpaired: Option<String> = None;
+
+    loop {
+        line.clear();
+        if r.read_until(b'\n', &mut line)? == 0 {
+            break;
+        }
+        if line.starts_with(b"%") {
+            utf8(&line)?;
+            continue;
+        }
+        let u = mirror.len();
+        if u == n {
+            if !line.iter().all(|&b| is_space(b)) {
+                return Err(invalid("too many vertex lines"));
+            }
+            continue;
+        }
+        let start = adj.len();
+        let complete = numbers(&line, &mut nums);
+        let mut it = nums.iter().copied();
+        loop {
+            let Some(v) = it.next() else {
+                if complete {
+                    break;
+                }
+                return Err(invalid("bad adjacency"));
+            };
+            let w = if !has_ewgt {
+                1
+            } else if let Some(w) = it.next() {
+                w
+            } else if complete {
+                return Err(invalid("missing field"));
+            } else {
+                return Err(invalid("unparsable field"));
+            };
+            if v == 0 || v > n as u64 {
+                return Err(invalid("vertex id out of range"));
+            }
+            if w == 0 {
+                return Err(invalid("zero edge weight"));
+            }
+            if v - 1 == u as u64 {
+                return Err(invalid(format!(
+                    "self loop on vertex {v} (METIS forbids them)"
+                )));
+            }
+            adj.push((v - 1) as VId);
+            wgt.push(w);
+        }
+        let end = adj.len();
+        sort_row(u, &mut adj[start..], &mut wgt[start..], &mut scratch)?;
+        let split = start + adj[start..].partition_point(|&v| (v as usize) < u);
+        lower += (split - start) as u64;
+        upper += (end - split) as u64;
+        if unpaired.is_none() {
+            unpaired = (start..split).find_map(|i| {
+                let x = adj[i] as usize;
+                let c = mirror[x];
+                // Row `x`'s next upper neighbor still unmatched; `n` if none.
+                let y = if c < xadj.get(x + 1) {
+                    adj[c] as usize
+                } else {
+                    n
+                };
+                if y == u && wgt[c] == wgt[i] {
+                    mirror[x] += 1;
+                    return None;
+                }
+                let (x1, u1) = (x + 1, u + 1);
+                Some(if y == u {
+                    format!(
+                        "asymmetric edge weight: vertex {x1} lists {u1} with weight {}, \
+                         vertex {u1} lists {x1} with weight {}",
+                        wgt[c], wgt[i]
+                    )
+                } else {
+                    // `y < u`: row `y` is read and never listed `x`.
+                    // Otherwise row `x` never lists `u`.
+                    let (a, b) = if y < u { (x1, y + 1) } else { (u1, x1) };
+                    format!(
+                        "unpaired adjacency entry: vertex {a} lists {b} \
+                         but vertex {b} does not list {a}"
+                    )
+                })
+            });
+        }
+        mirror.push(split);
+        xadj.push(end);
+    }
+
+    let u = mirror.len();
+    if u != n {
+        return Err(invalid(format!("expected {n} vertex lines, found {u}")));
+    }
+    if upper != m || lower != m {
+        return Err(invalid(format!(
+            "adjacency entry count mismatch: {upper} upper / {lower} lower triangle \
+             entries, header declares m = {m}; asymmetric or mis-declared file"
+        )));
+    }
+    if let Some(msg) = unpaired {
+        return Err(invalid(msg));
+    }
+    // Free the working buffers before `from_offsets` allocates the vertex
+    // weights, so the row cursors and the vertex weights are never held
+    // at once.
+    drop((r, line, mirror, nums, scratch));
+    Ok(Csr::from_offsets(xadj, adj, wgt))
+}
+
+/// Reject a line that is not UTF-8 text, as `BufRead::lines` does. Vertex
+/// lines need no check: one that parses holds only separators, digits and
+/// `+`.
+fn utf8(line: &[u8]) -> io::Result<()> {
+    std::str::from_utf8(line)
+        .map(drop)
+        .map_err(|_| invalid("stream did not contain valid UTF-8"))
+}
+
+/// The ASCII bytes `char::is_whitespace` accepts, METIS's separators:
+/// `\t`, `\n`, VT, FF, `\r` and space.
+fn is_space(b: u8) -> bool {
+    matches!(b, b'\t'..=b'\r' | b' ')
+}
+
+/// Parse a line's tokens as [`number`]s into `out`, in one pass over its
+/// bytes. Stops at the first token that is not a number and returns
+/// `false`; `out` then holds the numbers before it.
+fn numbers(line: &[u8], out: &mut Vec<u64>) -> bool {
+    // A token of at most 19 plain digits cannot overflow, so its value is
+    // folded on the fly; any other token goes through `number`.
+    let value = |tok: &[u8], x: u64, plain: bool| {
+        if plain && tok.len() <= 19 {
+            Some(x)
+        } else {
+            number(tok)
+        }
+    };
+    out.clear();
+    let (mut x, mut len, mut plain) = (0u64, 0usize, true);
+    for (i, &b) in line.iter().enumerate() {
+        let d = b.wrapping_sub(b'0');
+        if d <= 9 {
+            x = x.wrapping_mul(10).wrapping_add(u64::from(d));
+            len += 1;
+        } else if !is_space(b) {
+            plain = false;
+            len += 1;
+        } else if len > 0 {
+            let Some(v) = value(&line[i - len..i], x, plain) else {
+                return false;
+            };
+            out.push(v);
+            (x, len, plain) = (0, 0, true);
+        }
+    }
+    // The last token, when no separator ends the line.
+    len == 0
+        || value(&line[line.len() - len..], x, plain)
+            .map(|v| out.push(v))
+            .is_some()
+}
+
+/// A decimal `u64` with an optional leading `+`, as `str::parse` reads it.
+fn number(tok: &[u8]) -> Option<u64> {
+    let digits = tok.strip_prefix(b"+").unwrap_or(tok);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |x, &b| {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        x.checked_mul(10)?.checked_add(u64::from(d))
+    })
+}
+
+/// [`number`] on a field that must be present, with [`parse`]'s messages.
+fn number_field(tok: Option<&[u8]>) -> io::Result<u64> {
+    number(tok.ok_or_else(|| invalid("missing field"))?).ok_or_else(|| invalid("unparsable field"))
+}
+
+/// Sort row `u`'s entries by neighbor, carrying the weights, and reject a
+/// neighbor listed twice. Rows written by [`write_metis`] are already
+/// sorted and skip the copy.
+fn sort_row(
+    u: usize,
+    adj: &mut [VId],
+    wgt: &mut [Weight],
+    scratch: &mut Vec<(VId, Weight)>,
+) -> io::Result<()> {
+    if adj.windows(2).all(|p| p[0] < p[1]) {
+        return Ok(());
+    }
+    scratch.clear();
+    scratch.extend(adj.iter().copied().zip(wgt.iter().copied()));
+    scratch.sort_unstable_by_key(|&(v, _)| v);
+    for ((a, w), &(v, x)) in adj.iter_mut().zip(wgt.iter_mut()).zip(scratch.iter()) {
+        (*a, *w) = (v, x);
+    }
+    match adj.windows(2).find(|p| p[0] == p[1]) {
+        Some(p) => Err(invalid(format!(
+            "vertex {} lists neighbor {} twice",
+            u + 1,
+            p[0] + 1
+        ))),
+        None => Ok(()),
+    }
+}
+
+fn invalid(msg: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
 /// Write a graph in METIS format with edge weights (`fmt 001`).
@@ -548,7 +644,9 @@ pub fn read_auto(path: &Path) -> io::Result<Csr> {
 
 /// [`read_auto`] with explicit streaming options, returning the ingest
 /// telemetry (chunk count, peak staging bytes, offset width) alongside the
-/// graph.
+/// graph. A METIS file is read by [`read_metis`] in one pass, which ignores
+/// `chunk_edges` and `policy`; its stats read `edges_streamed = m`,
+/// `chunks = 1` and `peak_staging_bytes = 0`.
 pub fn ingest_auto(path: &Path, opts: &IngestOptions) -> io::Result<(Csr, IngestStats)> {
     match path.extension().and_then(|e| e.to_str()) {
         Some("mtx") => {
@@ -556,18 +654,16 @@ pub fn ingest_auto(path: &Path, opts: &IngestOptions) -> io::Result<(Csr, Ingest
             stream::build_csr(&mut src, MergeMode::Max, opts)
         }
         Some("graph") | Some("metis") => {
-            let mut src = MetisSource::open(path)?;
-            let m_header = src.m_header();
-            let (g, stats) = stream::build_csr(&mut src, MergeMode::Sum, opts)?;
-            if g.m() != m_header {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "graph has {} edges after dedup but header declares {m_header}",
-                        g.m()
-                    ),
-                ));
-            }
+            let g = read_metis(path)?;
+            let stats = IngestStats {
+                n: g.n(),
+                m: g.m(),
+                directed_entries: g.num_entries(),
+                edges_streamed: g.m() as u64,
+                chunks: 1,
+                peak_staging_bytes: 0,
+                offsets_are_u32: g.offsets_are_u32(),
+            };
             Ok((g, stats))
         }
         _ => {
@@ -746,11 +842,119 @@ mod tests {
     #[test]
     fn metis_double_listed_edge_rejected() {
         // Entries total 2m, but one side lists the edge twice and the
-        // mirror never appears — caught by the post-build m check.
+        // mirror never appears — caught as a neighbor listed twice.
         let p = tmp("dup.graph");
         std::fs::write(&p, "3 1\n2 2\n\n\n").unwrap();
         assert!(read_metis(&p).is_err());
         std::fs::remove_file(&p).ok();
+    }
+
+    /// Write `body` to a fresh file and read it as METIS.
+    fn read_metis_text(name: &str, body: &str) -> io::Result<Csr> {
+        let p = tmp(name);
+        std::fs::write(&p, body).unwrap();
+        let res = read_metis(&p);
+        std::fs::remove_file(&p).ok();
+        res
+    }
+
+    #[test]
+    fn metis_unpaired_entry_rejected() {
+        // Regression: both entry counts equal m = 2, yet {1,3} appears only
+        // on line 3 and {1,2} only on line 1; this used to read as the
+        // path 1-2-3.
+        let err = read_metis_text("unpaired.graph", "3 2\n2\n3\n1 2\n").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            err.to_string()
+                .contains("vertex 1 lists 2 but vertex 2 does not list 1"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn metis_mirror_weight_mismatch_rejected() {
+        // Regression: this used to read with weight 3, dropping the 5.
+        let err = read_metis_text("wmismatch.graph", "2 1 1\n2 3\n1 5\n").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("weight 3") && msg.contains("weight 5"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn metis_vertex_count_past_u32_rejected() {
+        // Regression: this used to panic in `StreamCsrBuilder::new`.
+        let err = read_metis_text("bign32.graph", "5000000000 0\n").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("u32 id space"), "{err}");
+    }
+
+    #[test]
+    fn metis_header_cannot_size_an_allocation() {
+        // Regression: the header's n used to size the offsets, and a 16 MiB
+        // edge chunk was staged whatever the file's length.
+        for (name, body) in [
+            ("bigm.graph", "2 4000000000\n2\n1\n"),
+            ("bign.graph", "4000000000 0\n"),
+        ] {
+            let (res, mem) = mlcg_par::mem::measure(|| read_metis_text(name, body));
+            let err = res.unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{name}");
+            assert!(mem.peak_bytes < 1 << 20, "{name}: peak {}", mem.peak_bytes);
+        }
+    }
+
+    #[test]
+    fn metis_unsorted_row_is_sorted_and_duplicate_rejected() {
+        let g = read_metis_text("unsorted.graph", "3 2 1\n3 4 2 7\n1 7\n1 4\n").unwrap();
+        g.validate().unwrap();
+        assert_eq!(g.neighbors(0), &[1, 2]);
+        assert_eq!(g.weights(0), &[7, 4]);
+        let err = read_metis_text("dup2.graph", "2 1\n2 2\n1 1\n").unwrap_err();
+        assert!(err.to_string().contains("lists neighbor 2 twice"), "{err}");
+    }
+
+    #[test]
+    fn numbers_read_tokens_as_str_parse_does() {
+        const PIECES: [&str; 16] = [
+            "0",
+            "1",
+            "7",
+            "9",
+            "+",
+            "-",
+            "a",
+            " ",
+            "\t",
+            "\r",
+            "\x0b",
+            "\x0c",
+            "\n",
+            "18446744073709551615",
+            "18446744073709551616",
+            "0000000000000000000000042",
+        ];
+        mlcg_par::proplite::run_cases(500, 0x9A_25, |gen| {
+            let line: String = (0..gen.usize_in(0, 12))
+                .map(|_| PIECES[gen.below(PIECES.len() as u64) as usize])
+                .collect();
+            let mut want = (true, Vec::new());
+            for tok in line.split_whitespace() {
+                match tok.parse::<u64>() {
+                    Ok(x) => want.1.push(x),
+                    Err(_) => {
+                        want.0 = false;
+                        break;
+                    }
+                }
+            }
+            let mut got = Vec::new();
+            let complete = numbers(line.as_bytes(), &mut got);
+            assert_eq!((complete, got), want, "{line:?}");
+        });
     }
 
     #[test]
@@ -862,6 +1066,26 @@ mod tests {
             stats.peak_staging_bytes,
             64 * crate::builder::EDGE_ITEM_BYTES
         );
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn ingest_auto_reports_one_unstaged_chunk_for_metis() {
+        let g = rmat(8, 6, 0.45, 0.25, 0.2, 11);
+        let p = tmp("stats.graph");
+        write_metis(&g, &p).unwrap();
+        let opts = IngestOptions {
+            chunk_edges: 64,
+            policy: mlcg_par::ExecPolicy::serial(),
+        };
+        let (g2, stats) = ingest_auto(&p, &opts).unwrap();
+        assert_eq!(g, g2);
+        assert_eq!((stats.n, stats.m), (g.n(), g.m()));
+        assert_eq!(stats.directed_entries, g.num_entries());
+        assert_eq!(stats.edges_streamed, g.m() as u64);
+        assert_eq!(stats.chunks, 1);
+        assert_eq!(stats.peak_staging_bytes, 0);
+        assert!(stats.offsets_are_u32);
         std::fs::remove_file(&p).ok();
     }
 

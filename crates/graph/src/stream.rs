@@ -37,7 +37,9 @@ pub trait EdgeSource {
     fn next_chunk(&mut self, out: &mut Vec<(VId, VId, Weight)>, max: usize) -> io::Result<usize>;
 }
 
-/// Knobs for a streamed build.
+/// Knobs for a streamed build. The METIS reader
+/// ([`crate::io::read_metis`]) stages no edges and runs on the calling
+/// thread, so it ignores both.
 pub struct IngestOptions {
     /// Edges held in memory at once. The auxiliary footprint of a build is
     /// `chunk_edges × EDGE_ITEM_BYTES` bytes (16 MiB at the default).
@@ -55,7 +57,8 @@ impl Default for IngestOptions {
     }
 }
 
-/// What a streamed build observed.
+/// What a streamed build observed. For a METIS file, which is read in one
+/// pass without staging, the file is one chunk of `m` edges.
 #[derive(Clone, Debug)]
 pub struct IngestStats {
     /// Vertices in the produced graph.
@@ -64,11 +67,12 @@ pub struct IngestStats {
     pub m: usize,
     /// Directed CSR entries (`2m`).
     pub directed_entries: usize,
-    /// Raw edges yielded by the source in one pass.
+    /// Raw edges yielded by the source in one pass (`m` for METIS).
     pub edges_streamed: u64,
-    /// Chunks the source was split into (one pass).
+    /// Chunks the source was split into (one pass; `1` for METIS).
     pub chunks: u64,
-    /// High-water mark of staged edge bytes (chunk buffer).
+    /// High-water mark of staged edge bytes (chunk buffer; `0` for METIS,
+    /// whose entries go straight into the final arrays).
     pub peak_staging_bytes: usize,
     /// Whether the final offsets engaged the narrow `u32` representation.
     pub offsets_are_u32: bool,
