@@ -8,13 +8,26 @@
 //! The construction is organised as a two-pass chunked protocol
 //! ([`StreamCsrBuilder`]): pass 1 counts directed entries per vertex over
 //! any sequence of edge chunks, pass 2 replays the same chunks and scatters
-//! into the final arrays through atomic per-vertex cursors. The in-memory
+//! into the final arrays through per-vertex cursors (atomic when a team of
+//! participants shares a chunk, plain on one participant). The in-memory
 //! entry points below feed the whole slice as one chunk, and
 //! [`crate::stream`] feeds file readers chunk-by-chunk — both paths run the
 //! identical count/scatter/sort/merge phases, so a streamed build is
 //! bit-identical to an in-memory build of the same edge multiset (the merge
 //! operators are commutative and associative, and every adjacency is sorted
 //! before merging, so chunk boundaries and scheduling cannot show through).
+//!
+//! A chunk is a slice of any [`EdgeItem`]: `(u, v)` pairs are unit edges,
+//! `(u, v, w)` triples carry a weight, so [`from_edges_unit`] hands its
+//! pairs over without widening them into triples.
+//!
+//! The builder only does the work its [`MergeMode`] needs. A
+//! [`MergeMode::Unit`] build stages no weights at all: it scatters ids
+//! only, sorts and dedups each row's `u32` ids in place, and its weights
+//! come out as one array of ones sized to the final graph. The weighted
+//! modes scatter each weight next to its id and sort rows longer than the
+//! insertion-sort cutoff through one scratch buffer per participant,
+//! reused across that participant's rows.
 //!
 //! The builder's transient footprint is kept close to the output graph's
 //! own size: scatter cursors and deduplicated-degree counts use `u32` words
@@ -24,17 +37,16 @@
 //! cross-checks the whole-build peak against `staging + Csr::heap_bytes()`.
 
 use crate::csr::{Csr, Offsets, VId, Weight};
-use mlcg_par::atomic::{as_atomic_u32, as_atomic_usize};
+use mlcg_par::atomic::{as_atomic_u32, as_atomic_u64, as_atomic_usize};
 use mlcg_par::scan::{exclusive_scan, ScanElem};
 use mlcg_par::sort::insertion_sort_pairs;
-use mlcg_par::{parallel_for, ExecPolicy};
-use std::sync::atomic::Ordering;
+use mlcg_par::{parallel_fold_chunks, parallel_for, ExecPolicy};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// Build an unweighted (all weights 1) undirected graph from an edge list.
 /// Duplicate edges collapse to a single unit-weight edge; self-loops drop.
 pub fn from_edges_unit(n: usize, edges: &[(VId, VId)]) -> Csr {
-    let weighted: Vec<(VId, VId, Weight)> = edges.iter().map(|&(u, v)| (u, v, 1)).collect();
-    build(&ExecPolicy::serial(), n, &weighted, MergeMode::Unit)
+    build(&ExecPolicy::serial(), n, edges, MergeMode::Unit)
 }
 
 /// Build a weighted undirected graph; duplicate edges have weights summed.
@@ -67,9 +79,41 @@ pub enum MergeMode {
     Max,
 }
 
+/// One edge of a chunk: its two endpoints and its weight.
+pub trait EdgeItem: Copy + Sync {
+    /// The edge's endpoints.
+    fn ends(self) -> (VId, VId);
+    /// The edge's weight (ignored by a [`MergeMode::Unit`] build).
+    fn weight(self) -> Weight;
+}
+
+/// A unit edge.
+impl EdgeItem for (VId, VId) {
+    fn ends(self) -> (VId, VId) {
+        self
+    }
+    fn weight(self) -> Weight {
+        1
+    }
+}
+
+/// A weighted edge.
+impl EdgeItem for (VId, VId, Weight) {
+    fn ends(self) -> (VId, VId) {
+        (self.0, self.1)
+    }
+    fn weight(self) -> Weight {
+        self.2
+    }
+}
+
 /// Bytes of one staged edge item — the unit "auxiliary bytes" are measured
 /// in. `(u32, u32, u64)` packs to 16 bytes.
 pub const EDGE_ITEM_BYTES: usize = std::mem::size_of::<(VId, VId, Weight)>();
+
+/// Rows up to this long sort by insertion; longer weighted rows sort
+/// through the participant's scratch buffer.
+const INSERTION_CUTOFF: usize = 24;
 
 /// Scatter-phase per-vertex write cursors. The narrow arm is used whenever
 /// the total entry count fits in `u32` (the same rule [`Offsets`] applies),
@@ -100,6 +144,7 @@ pub struct StreamCsrBuilder {
     /// Counting: directed-entry counts (n+1). Scattering: offsets (n+1).
     xadj: Vec<usize>,
     adj: Vec<VId>,
+    /// Scattered weights; stays empty under [`MergeMode::Unit`].
     wgt: Vec<Weight>,
     phase: Phase,
 }
@@ -120,34 +165,37 @@ impl StreamCsrBuilder {
 
     /// Pass 1: count the directed entries contributed by one edge chunk
     /// (both endpoints, self-loops skipped).
-    pub fn count_chunk(&mut self, policy: &ExecPolicy, chunk: &[(VId, VId, Weight)]) {
+    pub fn count_chunk<E: EdgeItem>(&mut self, policy: &ExecPolicy, chunk: &[E]) {
         assert!(
             matches!(self.phase, Phase::Counting),
             "count_chunk after begin_scatter"
         );
         let n = self.n;
-        for &(u, v, w) in chunk.iter().take(64) {
+        for &e in chunk.iter().take(64) {
             // Cheap spot check; full bounds are asserted during counting.
+            let ((u, v), w) = (e.ends(), e.weight());
             debug_assert!(
                 (u as usize) < n && (v as usize) < n && w > 0,
                 "edge ({u},{v},{w}) out of range for n={n}"
             );
         }
-        let view = as_atomic_usize(&mut self.xadj[..n]);
-        parallel_for(policy, chunk.len(), |i| {
-            let (u, v, _) = chunk[i];
-            assert!(
-                (u as usize) < n && (v as usize) < n,
-                "edge endpoint out of range"
-            );
-            if u != v {
-                view[u as usize].fetch_add(1, Ordering::Relaxed);
-                view[v as usize].fetch_add(1, Ordering::Relaxed);
+        let counts = &mut self.xadj[..n];
+        if policy.effective_threads(chunk.len()) <= 1 {
+            for &e in chunk {
+                count_edge(e, n, |x| counts[x] += 1);
             }
-        });
+        } else {
+            let view = as_atomic_usize(counts);
+            parallel_for(policy, chunk.len(), |i| {
+                count_edge(chunk[i], n, |x| {
+                    view[x].fetch_add(1, Ordering::Relaxed);
+                })
+            });
+        }
     }
 
-    /// Turn the counts into offsets and allocate the staging adjacency.
+    /// Turn the counts into offsets and allocate the staging adjacency
+    /// (and, in a weighted mode, its weights).
     pub fn begin_scatter(&mut self, policy: &ExecPolicy) {
         assert!(
             matches!(self.phase, Phase::Counting),
@@ -156,7 +204,9 @@ impl StreamCsrBuilder {
         let total = exclusive_scan(policy, &mut self.xadj);
         self.xadj[self.n] = total;
         self.adj = vec![0; total];
-        self.wgt = vec![0; total];
+        if self.mode != MergeMode::Unit {
+            self.wgt = vec![0; total];
+        }
         let cursors = if total <= u32::MAX as usize {
             Cursors::Narrow(self.xadj[..self.n].iter().map(|&x| x as u32).collect())
         } else {
@@ -165,33 +215,17 @@ impl StreamCsrBuilder {
         self.phase = Phase::Scattering { cursors };
     }
 
-    /// Pass 2: scatter one edge chunk (both directions) through atomic
+    /// Pass 2: scatter one edge chunk (both directions) through the
     /// per-vertex cursors.
-    pub fn scatter_chunk(&mut self, policy: &ExecPolicy, chunk: &[(VId, VId, Weight)]) {
-        let n = self.n;
+    pub fn scatter_chunk<E: EdgeItem>(&mut self, policy: &ExecPolicy, chunk: &[E]) {
         let Phase::Scattering { cursors } = &mut self.phase else {
             panic!("scatter_chunk before begin_scatter");
         };
-        let xadj = &self.xadj;
-        let adj_base = self.adj.as_mut_ptr() as usize;
-        let wgt_base = self.wgt.as_mut_ptr() as usize;
-        // A narrow cursor cannot wrap: legitimate claims are bounded by the
-        // total (≤ u32::MAX by construction), and a torn source drives at
-        // most one out-of-bounds claim per racing thread before the bounds
-        // assert panics.
+        let (xadj, adj) = (&self.xadj, &mut self.adj);
+        let wgt = (self.mode != MergeMode::Unit).then_some(&mut self.wgt[..]);
         match cursors {
-            Cursors::Narrow(c) => {
-                let cur = as_atomic_u32(c);
-                scatter_with(policy, chunk, n, xadj, adj_base, wgt_base, |u| {
-                    cur[u].fetch_add(1, Ordering::Relaxed) as usize
-                });
-            }
-            Cursors::Wide(c) => {
-                let cur = as_atomic_usize(c);
-                scatter_with(policy, chunk, n, xadj, adj_base, wgt_base, |u| {
-                    cur[u].fetch_add(1, Ordering::Relaxed)
-                });
-            }
+            Cursors::Narrow(c) => scatter_with(policy, chunk, xadj, c, adj, wgt),
+            Cursors::Wide(c) => scatter_with(policy, chunk, xadj, c, adj, wgt),
         }
     }
 
@@ -209,25 +243,10 @@ impl StreamCsrBuilder {
         let Phase::Scattering { cursors } = phase else {
             panic!("finish before begin_scatter");
         };
-        match &cursors {
-            Cursors::Narrow(c) => {
-                for u in 0..n {
-                    assert!(
-                        c[u] as usize == xadj[u + 1],
-                        "edge source changed between passes (vertex {u} underfull)"
-                    );
-                }
-            }
-            Cursors::Wide(c) => {
-                for u in 0..n {
-                    assert!(
-                        c[u] == xadj[u + 1],
-                        "edge source changed between passes (vertex {u} underfull)"
-                    );
-                }
-            }
+        match cursors {
+            Cursors::Narrow(c) => assert_filled(&c, &xadj),
+            Cursors::Wide(c) => assert_filled(&c, &xadj),
         }
-        drop(cursors);
 
         // Deduplicated degrees (and the offsets scanned from them) are kept
         // at the width the final graph will use, so the finish phase never
@@ -235,144 +254,184 @@ impl StreamCsrBuilder {
         // would immediately discard.
         let total = xadj[n];
         if total <= u32::MAX as usize {
-            let (off, adj, wgt) = finish_arrays::<u32>(policy, n, xadj, adj, wgt, mode);
+            let (off, adj, wgt) = finish_arrays::<u32>(policy, xadj, adj, wgt, mode);
             Csr::from_offsets(Offsets::U32(off), adj, wgt)
         } else {
-            let (off, adj, wgt) = finish_arrays::<usize>(policy, n, xadj, adj, wgt, mode);
+            let (off, adj, wgt) = finish_arrays::<usize>(policy, xadj, adj, wgt, mode);
             Csr::from_offsets(Offsets::from_usize(off), adj, wgt)
         }
     }
 }
 
-/// Integer word used for deduplicated degrees/offsets — `u32` when the
-/// entry count fits, matching the final [`Offsets`] width.
-trait DegWord: ScanElem {
+/// Integer word used for scatter cursors and deduplicated
+/// degrees/offsets — `u32` when the entry count fits, matching the final
+/// [`Offsets`] width.
+trait Word: ScanElem {
+    type Atomic: Sync;
     fn from_usize(x: usize) -> Self;
     fn to_usize(self) -> usize;
+    fn as_atomic(s: &mut [Self]) -> &[Self::Atomic];
+    /// `fetch_add(1)` on the atomic view.
+    fn claim(a: &Self::Atomic) -> usize;
 }
 
-impl DegWord for u32 {
+impl Word for u32 {
+    type Atomic = AtomicU32;
     fn from_usize(x: usize) -> Self {
         x as u32
     }
     fn to_usize(self) -> usize {
         self as usize
     }
+    fn as_atomic(s: &mut [Self]) -> &[AtomicU32] {
+        as_atomic_u32(s)
+    }
+    fn claim(a: &AtomicU32) -> usize {
+        a.fetch_add(1, Ordering::Relaxed) as usize
+    }
 }
 
-impl DegWord for usize {
+impl Word for usize {
+    type Atomic = AtomicUsize;
     fn from_usize(x: usize) -> Self {
         x
     }
     fn to_usize(self) -> usize {
         self
     }
+    fn as_atomic(s: &mut [Self]) -> &[AtomicUsize] {
+        as_atomic_usize(s)
+    }
+    fn claim(a: &AtomicUsize) -> usize {
+        a.fetch_add(1, Ordering::Relaxed)
+    }
 }
 
-/// Scatter one chunk through a width-specific `claim` (atomic fetch-add on
-/// the matching cursor array). Monomorphized per width — no per-edge
-/// dispatch.
-fn scatter_with(
-    policy: &ExecPolicy,
-    chunk: &[(VId, VId, Weight)],
-    n: usize,
-    xadj: &[usize],
-    adj_base: usize,
-    wgt_base: usize,
-    claim: impl Fn(usize) -> usize + Sync,
-) {
-    parallel_for(policy, chunk.len(), move |i| {
-        let (u, v, w) = chunk[i];
+/// The torn-source check of `finish`: every vertex's cursor reached the
+/// end of its counted segment.
+fn assert_filled<C: Word>(cur: &[C], xadj: &[usize]) {
+    for (u, &c) in cur.iter().enumerate() {
         assert!(
-            (u as usize) < n && (v as usize) < n,
-            "edge endpoint out of range"
+            c.to_usize() == xadj[u + 1],
+            "edge source changed between passes (vertex {u} underfull)"
         );
-        if u == v {
-            return;
+    }
+}
+
+/// Count one edge's directed entries through `bump` (both endpoints; a
+/// self-loop counts nothing).
+fn count_edge<E: EdgeItem>(e: E, n: usize, mut bump: impl FnMut(usize)) {
+    let (u, v) = e.ends();
+    assert!(
+        (u as usize) < n && (v as usize) < n,
+        "edge endpoint out of range"
+    );
+    if u != v {
+        bump(u as usize);
+        bump(v as usize);
+    }
+}
+
+/// Scatter one chunk through the cursors `cur` into `adj` and, in a
+/// weighted build, `wgt`. A one-participant dispatch uses plain increments
+/// and stores: a locked add per endpoint would also wait for every earlier
+/// store, which serializes the scatter's cache misses. A team claims slots
+/// with atomic adds and writes through atomic views; `Relaxed` suffices,
+/// as the dispatch's join orders every store before `finish` reads the
+/// arrays. A narrow cursor cannot wrap: legitimate claims are bounded by
+/// the total (≤ `u32::MAX` by construction), and a torn source drives at
+/// most one out-of-bounds claim per participant before the bounds assert
+/// panics.
+fn scatter_with<E: EdgeItem, C: Word>(
+    policy: &ExecPolicy,
+    chunk: &[E],
+    xadj: &[usize],
+    cur: &mut [C],
+    adj: &mut [VId],
+    mut wgt: Option<&mut [Weight]>,
+) {
+    if policy.effective_threads(chunk.len()) <= 1 {
+        let mut claim = |x: usize| {
+            let p = cur[x].to_usize();
+            cur[x] = C::from_usize(p.wrapping_add(1));
+            p
+        };
+        let mut put = |p: usize, id, w| {
+            adj[p] = id;
+            if let Some(wgt) = wgt.as_deref_mut() {
+                wgt[p] = w;
+            }
+        };
+        for &e in chunk {
+            scatter_edge(e, xadj, &mut claim, &mut put);
         }
-        // SAFETY: cursor slots are globally unique (fetch_add), and the
-        // bounds asserts guarantee each claimed slot lies inside the
-        // vertex's counted segment — a source that yields more edges in
-        // pass 2 than pass 1 panics instead of writing out of bounds.
-        unsafe {
-            let a = adj_base as *mut VId;
-            let x = wgt_base as *mut Weight;
-            let pu = claim(u as usize);
-            assert!(
-                pu < xadj[u as usize + 1],
-                "edge source changed between passes (vertex {u} overfull)"
-            );
-            a.add(pu).write(v);
-            x.add(pu).write(w);
-            let pv = claim(v as usize);
-            assert!(
-                pv < xadj[v as usize + 1],
-                "edge source changed between passes (vertex {v} overfull)"
-            );
-            a.add(pv).write(u);
-            x.add(pv).write(w);
-        }
-    });
+    } else {
+        let cur = C::as_atomic(cur);
+        let adj = as_atomic_u32(adj);
+        let wgt = wgt.map(as_atomic_u64);
+        let put = |p: usize, id, w| {
+            adj[p].store(id, Ordering::Relaxed);
+            if let Some(wgt) = wgt {
+                wgt[p].store(w, Ordering::Relaxed);
+            }
+        };
+        parallel_for(policy, chunk.len(), |i| {
+            scatter_edge(chunk[i], xadj, |x| C::claim(&cur[x]), put)
+        });
+    }
+}
+
+/// Scatter one edge both ways: `claim(x)` takes vertex `x`'s next slot and
+/// `put(slot, id, weight)` fills it. The bounds asserts keep each claimed
+/// slot inside the vertex's counted segment, so a source that yields more
+/// edges in pass 2 than in pass 1 panics instead of writing into the next
+/// vertex's segment.
+fn scatter_edge<E: EdgeItem>(
+    e: E,
+    xadj: &[usize],
+    mut claim: impl FnMut(usize) -> usize,
+    mut put: impl FnMut(usize, VId, Weight),
+) {
+    let n = xadj.len() - 1;
+    let (u, v) = e.ends();
+    assert!(
+        (u as usize) < n && (v as usize) < n,
+        "edge endpoint out of range"
+    );
+    if u == v {
+        return;
+    }
+    let pu = claim(u as usize);
+    assert!(
+        pu < xadj[u as usize + 1],
+        "edge source changed between passes (vertex {u} overfull)"
+    );
+    let pv = claim(v as usize);
+    assert!(
+        pv < xadj[v as usize + 1],
+        "edge source changed between passes (vertex {v} overfull)"
+    );
+    let w = e.weight();
+    put(pu, v, w);
+    put(pv, u, w);
 }
 
 /// Sort/merge every adjacency in place and compact out the dropped
 /// duplicates, returning `(scanned offsets, adj, wgt)` with the offsets at
-/// width `D`.
-fn finish_arrays<D: DegWord>(
+/// width `D`. A unit build's weights are made here, once, at the final
+/// size.
+fn finish_arrays<D: Word>(
     policy: &ExecPolicy,
-    n: usize,
     xadj: Vec<usize>,
     mut adj: Vec<VId>,
     mut wgt: Vec<Weight>,
     mode: MergeMode,
 ) -> (Vec<D>, Vec<VId>, Vec<Weight>) {
+    let n = xadj.len() - 1;
     let total = xadj[n];
 
-    // Sort each adjacency and merge duplicates in place, recording the
-    // deduplicated degree.
     let mut new_deg: Vec<D> = vec![D::default(); n + 1];
-    {
-        let adj_base = adj.as_mut_ptr() as usize;
-        let wgt_base = wgt.as_mut_ptr() as usize;
-        let deg_base = new_deg.as_mut_ptr() as usize;
-        let xadj_ref = &xadj;
-        parallel_for(policy, n, move |u| {
-            let s = xadj_ref[u];
-            let e = xadj_ref[u + 1];
-            // SAFETY: vertex segments are disjoint.
-            let (a, x) = unsafe {
-                (
-                    std::slice::from_raw_parts_mut((adj_base as *mut VId).add(s), e - s),
-                    std::slice::from_raw_parts_mut((wgt_base as *mut Weight).add(s), e - s),
-                )
-            };
-            sort_pairs(a, x);
-            let mut out = 0usize;
-            let mut i = 0usize;
-            while i < a.len() {
-                let v = a[i];
-                // Unit mode pins the weight outright so the result is
-                // deterministic even if the input mixes weights.
-                let mut w = if mode == MergeMode::Unit { 1 } else { x[i] };
-                i += 1;
-                while i < a.len() && a[i] == v {
-                    match mode {
-                        MergeMode::Sum => w += x[i],
-                        MergeMode::Max => w = w.max(x[i]),
-                        MergeMode::Unit => {}
-                    }
-                    i += 1;
-                }
-                a[out] = v;
-                x[out] = w;
-                out += 1;
-            }
-            unsafe {
-                (deg_base as *mut D).add(u).write(D::from_usize(out));
-            }
-        });
-    }
-
+    merge_rows(policy, &xadj, &mut adj, &mut wgt, &mut new_deg[..n], mode);
     let new_total = exclusive_scan(policy, &mut new_deg).to_usize();
     new_deg[n] = D::from_usize(new_total);
 
@@ -385,6 +444,7 @@ fn finish_arrays<D: DegWord>(
     // pass and only runs when duplicates or self-loops were actually
     // dropped.
     if new_total < total {
+        let weighted = mode != MergeMode::Unit;
         for u in 0..n {
             let src = xadj[u];
             let dst = new_deg[u].to_usize();
@@ -393,7 +453,9 @@ fn finish_arrays<D: DegWord>(
                 continue;
             }
             adj.copy_within(src..src + len, dst);
-            wgt.copy_within(src..src + len, dst);
+            if weighted {
+                wgt.copy_within(src..src + len, dst);
+            }
         }
         adj.truncate(new_total);
         wgt.truncate(new_total);
@@ -401,28 +463,117 @@ fn finish_arrays<D: DegWord>(
         wgt.shrink_to_fit();
     }
     drop(xadj);
+    if mode == MergeMode::Unit {
+        wgt = vec![1; new_total];
+    }
     (new_deg, adj, wgt)
 }
 
-fn build(policy: &ExecPolicy, n: usize, edges: &[(VId, VId, Weight)], mode: MergeMode) -> Csr {
+/// Sort and merge each row `u` (entries `xadj[u]..xadj[u + 1]`) in place
+/// under `mode`, writing its deduplicated length to `deg[u]`. Each
+/// participant sorts long weighted rows through one scratch buffer that it
+/// reuses for all of its rows.
+fn merge_rows<D: Word>(
+    policy: &ExecPolicy,
+    xadj: &[usize],
+    adj: &mut [VId],
+    wgt: &mut [Weight],
+    deg: &mut [D],
+    mode: MergeMode,
+) {
+    let weighted = mode != MergeMode::Unit;
+    let rows = deg.len();
+    let adj_base = adj.as_mut_ptr() as usize;
+    let wgt_base = wgt.as_mut_ptr() as usize;
+    let deg_base = deg.as_mut_ptr() as usize;
+    let fold = |scratch: &mut Vec<(VId, Weight)>, r: std::ops::Range<usize>| {
+        let (s, e) = (xadj[r.start], xadj[r.end]);
+        // SAFETY: the chunks of one dispatch are disjoint vertex ranges, so
+        // their entry spans `xadj[r.start]..xadj[r.end]` and their `deg`
+        // slots are disjoint too, and all lie inside the slices borrowed
+        // above (the weights only in a weighted build, where `wgt` holds
+        // every entry).
+        let (a, x, d) = unsafe {
+            (
+                std::slice::from_raw_parts_mut((adj_base as *mut VId).add(s), e - s),
+                if weighted {
+                    std::slice::from_raw_parts_mut((wgt_base as *mut Weight).add(s), e - s)
+                } else {
+                    &mut []
+                },
+                std::slice::from_raw_parts_mut((deg_base as *mut D).add(r.start), r.len()),
+            )
+        };
+        for (slot, u) in d.iter_mut().zip(r) {
+            let row = xadj[u] - s..xadj[u + 1] - s;
+            let len = if weighted {
+                merge_weighted(&mut a[row.clone()], &mut x[row], scratch, mode)
+            } else {
+                dedup_ids(&mut a[row])
+            };
+            *slot = D::from_usize(len);
+        }
+    };
+    parallel_fold_chunks(policy, rows, Vec::new, fold);
+}
+
+/// Sort a unit row's ids and drop the repeats; returns the kept length.
+fn dedup_ids(a: &mut [VId]) -> usize {
+    a.sort_unstable();
+    let mut out = 0usize;
+    for i in 0..a.len() {
+        if out == 0 || a[i] != a[out - 1] {
+            a[out] = a[i];
+            out += 1;
+        }
+    }
+    out
+}
+
+/// Sort a weighted row by id and merge each run of equal ids into one
+/// entry under `mode`; returns the kept length.
+fn merge_weighted(
+    a: &mut [VId],
+    x: &mut [Weight],
+    scratch: &mut Vec<(VId, Weight)>,
+    mode: MergeMode,
+) -> usize {
+    if a.len() <= INSERTION_CUTOFF {
+        insertion_sort_pairs(a, x);
+    } else {
+        scratch.clear();
+        scratch.extend(a.iter().copied().zip(x.iter().copied()));
+        scratch.sort_unstable_by_key(|&(v, _)| v);
+        for ((v, w), &(sv, sw)) in a.iter_mut().zip(x.iter_mut()).zip(scratch.iter()) {
+            (*v, *w) = (sv, sw);
+        }
+    }
+    let mut out = 0usize;
+    let mut i = 0usize;
+    while i < a.len() {
+        let v = a[i];
+        let mut w = x[i];
+        i += 1;
+        while i < a.len() && a[i] == v {
+            w = match mode {
+                MergeMode::Max => w.max(x[i]),
+                _ => w + x[i],
+            };
+            i += 1;
+        }
+        a[out] = v;
+        x[out] = w;
+        out += 1;
+    }
+    out
+}
+
+fn build<E: EdgeItem>(policy: &ExecPolicy, n: usize, edges: &[E], mode: MergeMode) -> Csr {
     let mut b = StreamCsrBuilder::new(n, mode);
     b.count_chunk(policy, edges);
     b.begin_scatter(policy);
     b.scatter_chunk(policy, edges);
     b.finish(policy)
-}
-
-fn sort_pairs(a: &mut [VId], x: &mut [Weight]) {
-    if a.len() <= 24 {
-        insertion_sort_pairs(a, x);
-    } else {
-        let mut idx: Vec<u32> = (0..a.len() as u32).collect();
-        idx.sort_unstable_by_key(|&i| a[i as usize]);
-        let na: Vec<VId> = idx.iter().map(|&i| a[i as usize]).collect();
-        let nx: Vec<Weight> = idx.iter().map(|&i| x[i as usize]).collect();
-        a.copy_from_slice(&na);
-        x.copy_from_slice(&nx);
-    }
 }
 
 #[cfg(test)]
@@ -515,6 +666,129 @@ mod tests {
         b.count_chunk(&policy, &[(0, 1, 1)]);
         b.begin_scatter(&policy);
         b.scatter_chunk(&policy, &[(0, 1, 1), (1, 2, 1)]);
+    }
+
+    /// Test-local reference: an ordered map per row, merged edge by edge
+    /// under `mode`, with none of the builder's phases.
+    fn reference(n: usize, edges: &[(VId, VId, Weight)], mode: MergeMode) -> Csr {
+        let mut rows = vec![std::collections::BTreeMap::<VId, Weight>::new(); n];
+        for &(u, v, w) in edges {
+            if u == v {
+                continue;
+            }
+            let w = if mode == MergeMode::Unit { 1 } else { w };
+            for (a, b) in [(u, v), (v, u)] {
+                let slot = rows[a as usize].entry(b).or_insert(0);
+                *slot = match mode {
+                    MergeMode::Unit => 1,
+                    MergeMode::Sum => *slot + w,
+                    MergeMode::Max => (*slot).max(w),
+                };
+            }
+        }
+        let mut xadj = vec![0usize];
+        let (mut adj, mut wgt) = (Vec::new(), Vec::new());
+        for row in rows {
+            for (v, w) in row {
+                adj.push(v);
+                wgt.push(w);
+            }
+            xadj.push(adj.len());
+        }
+        Csr::from_parts(xadj, adj, wgt)
+    }
+
+    /// Hubs 0..4 each take 300 edges into vertices 0..40 (rows far past
+    /// the insertion cutoff, most entries repeats, a few self-loops), over
+    /// a sparse random background.
+    fn duplicate_heavy_edges(n: usize, seed: u64) -> Vec<(VId, VId, Weight)> {
+        let mut rng = mlcg_par::rng::Xoshiro256pp::new(seed);
+        let mut edges = Vec::new();
+        for hub in 0..4 {
+            for _ in 0..300 {
+                edges.push((hub, rng.next_below(40) as VId, rng.next_below(9) + 1));
+            }
+        }
+        for _ in 0..800 {
+            let (u, v) = (rng.next_below(n as u64), rng.next_below(n as u64));
+            edges.push((v as VId, u as VId, rng.next_below(9) + 1));
+        }
+        rng.shuffle(&mut edges);
+        edges
+    }
+
+    /// Feed `edges` to a streamed build in chunks of `chunk`, scattering
+    /// the chunks in reverse order.
+    fn streamed<E: EdgeItem>(
+        policy: &ExecPolicy,
+        n: usize,
+        edges: &[E],
+        chunk: usize,
+        mode: MergeMode,
+    ) -> Csr {
+        let mut b = StreamCsrBuilder::new(n, mode);
+        for c in edges.chunks(chunk) {
+            b.count_chunk(policy, c);
+        }
+        b.begin_scatter(policy);
+        for c in edges.chunks(chunk).rev() {
+            b.scatter_chunk(policy, c);
+        }
+        b.finish(policy)
+    }
+
+    #[test]
+    fn long_duplicate_heavy_rows_match_the_reference() {
+        let n = 300;
+        for seed in [1u64, 2] {
+            let edges = duplicate_heavy_edges(n, seed);
+            let pairs: Vec<(VId, VId)> = edges.iter().map(|&(u, v, _)| (u, v)).collect();
+            let unit = reference(n, &edges, MergeMode::Unit);
+            assert!(unit.degree(0) > INSERTION_CUTOFF, "hub rows must be long");
+            assert_eq!(from_edges_unit(n, &pairs), unit, "seed {seed}");
+            for policy in ExecPolicy::all_test_policies() {
+                for chunk in [1usize, 7, 64, 1000, edges.len()] {
+                    let label = format!("seed {seed} {policy} chunk {chunk}");
+                    let g = streamed(&policy, n, &pairs, chunk, MergeMode::Unit);
+                    assert_eq!(g, unit, "unit pairs, {label}");
+                    for mode in [MergeMode::Unit, MergeMode::Sum, MergeMode::Max] {
+                        let g = streamed(&policy, n, &edges, chunk, mode);
+                        assert_eq!(g, reference(n, &edges, mode), "{mode:?}, {label}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The panic message of a build whose scatter pass sees `scatter`
+    /// after its count pass saw `count`.
+    fn torn_build(policy: &ExecPolicy, count: &[(VId, VId)], scatter: &[(VId, VId)]) -> String {
+        let run = || {
+            let mut b = StreamCsrBuilder::new(64, MergeMode::Unit);
+            b.count_chunk(policy, count);
+            b.begin_scatter(policy);
+            b.scatter_chunk(policy, scatter);
+            b.finish(policy)
+        };
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .expect_err("a torn source must panic");
+        match payload.downcast::<String>() {
+            Ok(msg) => *msg,
+            Err(p) => p.downcast::<&str>().map(|m| m.to_string()).unwrap(),
+        }
+    }
+
+    #[test]
+    fn torn_unit_sources_panic_under_every_policy() {
+        let edges: Vec<(VId, VId)> = (0..200u32).map(|i| (i % 64, (i * 7 + 3) % 64)).collect();
+        let mut more = edges.clone();
+        more.push((5, 9));
+        for policy in ExecPolicy::all_test_policies() {
+            let over = torn_build(&policy, &edges, &more);
+            assert!(over.contains("changed between passes") && over.contains("overfull"));
+            let under = torn_build(&policy, &more, &edges);
+            assert!(under.contains("changed between passes") && under.contains("underfull"));
+        }
     }
 
     #[test]

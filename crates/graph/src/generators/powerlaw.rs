@@ -14,31 +14,28 @@ use mlcg_par::rng::Xoshiro256pp;
 /// noise. `n = 2^scale` vertices and `edge_factor * n` sampled edges
 /// (duplicates and loops are discarded by the builder, so the final count
 /// is somewhat lower — as with real Kronecker graphs).
+///
+/// Each level draws one `r` in `[0, 1)` and picks the quadrant with the
+/// cumulative bounds `a ≤ a + b ≤ a + b + c`: `r ≥ a + b` sets the row
+/// bit, and `a ≤ r < a + b` or `r ≥ a + b + c` sets the column bit. Both
+/// bits come from comparisons, not branches: the draw is random, so a
+/// branch on it would mispredict on most levels.
 pub fn rmat(scale: u32, edge_factor: usize, a: f64, b: f64, c: f64, seed: u64) -> Csr {
     let n = 1usize << scale;
     let d = 1.0 - a - b - c;
     assert!(d >= 0.0, "rmat: probabilities must sum to <= 1");
+    let (ab, abc) = (a + b, a + b + c);
     let mut rng = Xoshiro256pp::new(seed);
     let m = edge_factor * n;
     let mut edges = Vec::with_capacity(m);
     for _ in 0..m {
-        let (mut u, mut v) = (0usize, 0usize);
+        let (mut u, mut v): (VId, VId) = (0, 0);
         for _ in 0..scale {
-            u <<= 1;
-            v <<= 1;
             let r = rng.next_f64();
-            if r < a {
-                // upper-left: no bits set
-            } else if r < a + b {
-                v |= 1;
-            } else if r < a + b + c {
-                u |= 1;
-            } else {
-                u |= 1;
-                v |= 1;
-            }
+            u = (u << 1) | VId::from(r >= ab);
+            v = (v << 1) | VId::from((r >= a && r < ab) | (r >= abc));
         }
-        edges.push((u as VId, v as VId));
+        edges.push((u, v));
     }
     from_edges_unit(n, &edges)
 }

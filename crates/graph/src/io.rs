@@ -94,7 +94,13 @@ impl MatrixMarketSource {
         let rows: usize = parse(it.next())?;
         let cols: usize = parse(it.next())?;
         let nnz: usize = parse(it.next())?;
-        Ok((rows.max(cols), nnz, pattern, lines))
+        let n = rows.max(cols);
+        if n > VId::MAX as usize {
+            return Err(invalid(format!(
+                "vertex count {n} exceeds the u32 id space"
+            )));
+        }
+        Ok((n, nnz, pattern, lines))
     }
 }
 
@@ -808,6 +814,22 @@ mod tests {
         .unwrap();
         assert!(read_matrix_market(&p).is_err());
         std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn mm_vertex_count_past_u32_rejected() {
+        // Regression: this used to panic in `StreamCsrBuilder::new`.
+        let p = tmp("bign32.mtx");
+        std::fs::write(
+            &p,
+            "%%MatrixMarket matrix coordinate pattern general\n5000000000 5000000000 0\n",
+        )
+        .unwrap();
+        let res = std::panic::catch_unwind(|| read_matrix_market(&p));
+        std::fs::remove_file(&p).ok();
+        let err = res.expect("must not panic").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("u32 id space"), "{err}");
     }
 
     #[test]

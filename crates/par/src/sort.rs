@@ -11,8 +11,7 @@
 //!   and insertion sorts for short per-vertex segments, standing in for the
 //!   team-level bitonic sorts the paper uses on the GPU.
 
-use crate::scan::exclusive_scan;
-use crate::{parallel_for_weighted_op, profile, ExecPolicy};
+use crate::{parallel_for_weighted_mut_op, parallel_for_weighted_op, profile, ExecPolicy};
 
 const RADIX_BITS: usize = 8;
 const RADIX: usize = 1 << RADIX_BITS;
@@ -52,9 +51,9 @@ pub fn par_radix_sort_pairs<V: Copy + Default + Send + Sync>(
 
     let mut kbuf: Vec<u64> = vec![0; n];
     let mut vbuf: Vec<V> = vec![V::default(); n];
-    // counts[v * nblocks + b]: occurrences of digit v in block b. Laid out
-    // digit-major so the exclusive scan directly yields stable scatter bases.
-    let mut counts: Vec<usize> = vec![0; RADIX * nblocks];
+    // hist[b][d]: occurrences of digit d in block b, then (after the
+    // digit-major scan) block b's first slot for digit d.
+    let mut hist: Vec<[usize; RADIX]> = vec![[0; RADIX]; nblocks];
 
     // Label every pass for the dispatch profiler; the block loops size
     // their team by the pair count and are tagged `par_blocks` — a plain
@@ -65,40 +64,38 @@ pub fn par_radix_sort_pairs<V: Copy + Default + Send + Sync>(
     for pass in 0..passes {
         let _k = profile::kernel(PASS_LABELS[pass.min(PASS_LABELS.len() - 1)]);
         let shift = pass * RADIX_BITS;
-        counts.iter_mut().for_each(|c| *c = 0);
         {
             let _k = profile::kernel("count");
-            let (src_k, _src_v, _dst_k, _dst_v) =
-                buffers(&mut *keys, &mut *vals, &mut kbuf, &mut vbuf, src_is_orig);
-            let counts_base = counts.as_mut_ptr() as usize;
-            parallel_for_weighted_op(policy, n, nblocks, "par_blocks", move |b| {
-                let start = b * block;
-                let end = ((b + 1) * block).min(n);
-                // SAFETY: each block writes a disjoint column of `counts`.
-                let cp = counts_base as *mut usize;
-                for &k in &src_k[start..end] {
-                    let d = ((k >> shift) as usize) & (RADIX - 1);
-                    unsafe {
-                        *cp.add(d * nblocks + b) += 1;
-                    }
+            let src_k: &[u64] = if src_is_orig { keys } else { &kbuf };
+            // Each block counts into a stack array and stores its
+            // histogram once, so no two participants write one cache line
+            // per key (a digit's counters for all blocks share a line).
+            parallel_for_weighted_mut_op(policy, n, &mut hist, "par_blocks", |b, h| {
+                let mut local = [0usize; RADIX];
+                for &k in &src_k[b * block..((b + 1) * block).min(n)] {
+                    local[((k >> shift) as usize) & (RADIX - 1)] += 1;
                 }
+                *h = local;
             });
         }
-        exclusive_scan(&ExecPolicy::serial(), &mut counts);
+        // Digit-major exclusive scan: the stable scatter bases.
+        let mut sum = 0usize;
+        for d in 0..RADIX {
+            for h in hist.iter_mut() {
+                (h[d], sum) = (sum, sum + h[d]);
+            }
+        }
         {
             let _k = profile::kernel("scatter");
             let (src_k, src_v, dst_k, dst_v) =
                 buffers(&mut *keys, &mut *vals, &mut kbuf, &mut vbuf, src_is_orig);
             let dst_k_base = dst_k.as_mut_ptr() as usize;
             let dst_v_base = dst_v.as_mut_ptr() as usize;
-            let counts_ref = &counts;
+            let hist = &hist;
             parallel_for_weighted_op(policy, n, nblocks, "par_blocks", move |b| {
                 let start = b * block;
                 let end = ((b + 1) * block).min(n);
-                let mut cursors = [0usize; RADIX];
-                for (d, cur) in cursors.iter_mut().enumerate() {
-                    *cur = counts_ref[d * nblocks + b];
-                }
+                let mut cursors = hist[b];
                 // SAFETY: scatter targets are globally unique by construction
                 // of the per-(digit, block) cursor ranges.
                 unsafe {
@@ -254,13 +251,26 @@ mod tests {
 
     #[test]
     fn radix_sort_matches_reference() {
+        let mut inputs: Vec<_> = [0usize, 1, 2, 100, 5000, 70_000]
+            .into_iter()
+            .map(|n| random_pairs(n, 42 + n as u64))
+            .collect();
+        // Each key ~17 times over three digit passes: the output must be
+        // exactly the stable sort's, ties included.
+        let mut rng = Xoshiro256pp::new(11);
+        let keys: Vec<u64> = (0..70_000)
+            .map(|_| rng.next_below(1 << 20) & !0xff0)
+            .collect();
+        inputs.push((keys, (0..70_000).collect()));
         for policy in ExecPolicy::all_test_policies() {
-            for n in [0usize, 1, 2, 100, 5000, 70_000] {
-                let (orig_keys, orig_vals) = random_pairs(n, 42 + n as u64);
+            for (orig_keys, orig_vals) in &inputs {
                 let mut keys = orig_keys.clone();
                 let mut vals = orig_vals.clone();
                 par_radix_sort_pairs(&policy, &mut keys, &mut vals);
-                check_sorted_and_consistent(&orig_keys, &keys, &vals);
+                check_sorted_and_consistent(orig_keys, &keys, &vals);
+                let (mut want_k, mut want_v) = (orig_keys.clone(), orig_vals.clone());
+                seq_sort_pairs(&mut want_k, &mut want_v);
+                assert_eq!((keys, vals), (want_k, want_v), "{policy}");
             }
         }
     }
