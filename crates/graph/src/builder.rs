@@ -8,8 +8,9 @@
 //! The construction is organised as a two-pass chunked protocol
 //! ([`StreamCsrBuilder`]): pass 1 counts directed entries per vertex over
 //! any sequence of edge chunks, pass 2 replays the same chunks and scatters
-//! into the final arrays through per-vertex cursors (atomic when a team of
-//! participants shares a chunk, plain on one participant). The in-memory
+//! into the final arrays through per-vertex cursors. Both passes run on the
+//! calling thread; the offset scan and the per-row sort and merge of
+//! [`finish`](StreamCsrBuilder::finish) run under the policy. The in-memory
 //! entry points below feed the whole slice as one chunk, and
 //! [`crate::stream`] feeds file readers chunk-by-chunk — both paths run the
 //! identical count/scatter/sort/merge phases, so a streamed build is
@@ -37,11 +38,9 @@
 //! cross-checks the whole-build peak against `staging + Csr::heap_bytes()`.
 
 use crate::csr::{Csr, Offsets, VId, Weight};
-use mlcg_par::atomic::{as_atomic_u32, as_atomic_u64, as_atomic_usize};
 use mlcg_par::scan::{exclusive_scan, ScanElem};
 use mlcg_par::sort::insertion_sort_pairs;
-use mlcg_par::{parallel_fold_chunks, parallel_for, ExecPolicy};
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use mlcg_par::{parallel_fold_chunks, ExecPolicy};
 
 /// Build an unweighted (all weights 1) undirected graph from an edge list.
 /// Duplicate edges collapse to a single unit-weight edge; self-loops drop.
@@ -80,7 +79,7 @@ pub enum MergeMode {
 }
 
 /// One edge of a chunk: its two endpoints and its weight.
-pub trait EdgeItem: Copy + Sync {
+pub trait EdgeItem: Copy {
     /// The edge's endpoints.
     fn ends(self) -> (VId, VId);
     /// The edge's weight (ignored by a [`MergeMode::Unit`] build).
@@ -165,7 +164,7 @@ impl StreamCsrBuilder {
 
     /// Pass 1: count the directed entries contributed by one edge chunk
     /// (both endpoints, self-loops skipped).
-    pub fn count_chunk<E: EdgeItem>(&mut self, policy: &ExecPolicy, chunk: &[E]) {
+    pub fn count_chunk<E: EdgeItem>(&mut self, chunk: &[E]) {
         assert!(
             matches!(self.phase, Phase::Counting),
             "count_chunk after begin_scatter"
@@ -180,17 +179,16 @@ impl StreamCsrBuilder {
             );
         }
         let counts = &mut self.xadj[..n];
-        if policy.effective_threads(chunk.len()) <= 1 {
-            for &e in chunk {
-                count_edge(e, n, |x| counts[x] += 1);
+        for &e in chunk {
+            let (u, v) = e.ends();
+            assert!(
+                (u as usize) < n && (v as usize) < n,
+                "edge endpoint out of range"
+            );
+            if u != v {
+                counts[u as usize] += 1;
+                counts[v as usize] += 1;
             }
-        } else {
-            let view = as_atomic_usize(counts);
-            parallel_for(policy, chunk.len(), |i| {
-                count_edge(chunk[i], n, |x| {
-                    view[x].fetch_add(1, Ordering::Relaxed);
-                })
-            });
         }
     }
 
@@ -217,15 +215,15 @@ impl StreamCsrBuilder {
 
     /// Pass 2: scatter one edge chunk (both directions) through the
     /// per-vertex cursors.
-    pub fn scatter_chunk<E: EdgeItem>(&mut self, policy: &ExecPolicy, chunk: &[E]) {
+    pub fn scatter_chunk<E: EdgeItem>(&mut self, chunk: &[E]) {
         let Phase::Scattering { cursors } = &mut self.phase else {
             panic!("scatter_chunk before begin_scatter");
         };
         let (xadj, adj) = (&self.xadj, &mut self.adj);
         let wgt = (self.mode != MergeMode::Unit).then_some(&mut self.wgt[..]);
         match cursors {
-            Cursors::Narrow(c) => scatter_with(policy, chunk, xadj, c, adj, wgt),
-            Cursors::Wide(c) => scatter_with(policy, chunk, xadj, c, adj, wgt),
+            Cursors::Narrow(c) => scatter_with(chunk, xadj, c, adj, wgt),
+            Cursors::Wide(c) => scatter_with(chunk, xadj, c, adj, wgt),
         }
     }
 
@@ -267,43 +265,25 @@ impl StreamCsrBuilder {
 /// degrees/offsets — `u32` when the entry count fits, matching the final
 /// [`Offsets`] width.
 trait Word: ScanElem {
-    type Atomic: Sync;
     fn from_usize(x: usize) -> Self;
     fn to_usize(self) -> usize;
-    fn as_atomic(s: &mut [Self]) -> &[Self::Atomic];
-    /// `fetch_add(1)` on the atomic view.
-    fn claim(a: &Self::Atomic) -> usize;
 }
 
 impl Word for u32 {
-    type Atomic = AtomicU32;
     fn from_usize(x: usize) -> Self {
         x as u32
     }
     fn to_usize(self) -> usize {
         self as usize
     }
-    fn as_atomic(s: &mut [Self]) -> &[AtomicU32] {
-        as_atomic_u32(s)
-    }
-    fn claim(a: &AtomicU32) -> usize {
-        a.fetch_add(1, Ordering::Relaxed) as usize
-    }
 }
 
 impl Word for usize {
-    type Atomic = AtomicUsize;
     fn from_usize(x: usize) -> Self {
         x
     }
     fn to_usize(self) -> usize {
         self
-    }
-    fn as_atomic(s: &mut [Self]) -> &[AtomicUsize] {
-        as_atomic_usize(s)
-    }
-    fn claim(a: &AtomicUsize) -> usize {
-        a.fetch_add(1, Ordering::Relaxed)
     }
 }
 
@@ -318,102 +298,42 @@ fn assert_filled<C: Word>(cur: &[C], xadj: &[usize]) {
     }
 }
 
-/// Count one edge's directed entries through `bump` (both endpoints; a
-/// self-loop counts nothing).
-fn count_edge<E: EdgeItem>(e: E, n: usize, mut bump: impl FnMut(usize)) {
-    let (u, v) = e.ends();
-    assert!(
-        (u as usize) < n && (v as usize) < n,
-        "edge endpoint out of range"
-    );
-    if u != v {
-        bump(u as usize);
-        bump(v as usize);
-    }
-}
-
-/// Scatter one chunk through the cursors `cur` into `adj` and, in a
-/// weighted build, `wgt`. A one-participant dispatch uses plain increments
-/// and stores: a locked add per endpoint would also wait for every earlier
-/// store, which serializes the scatter's cache misses. A team claims slots
-/// with atomic adds and writes through atomic views; `Relaxed` suffices,
-/// as the dispatch's join orders every store before `finish` reads the
-/// arrays. A narrow cursor cannot wrap: legitimate claims are bounded by
-/// the total (≤ `u32::MAX` by construction), and a torn source drives at
-/// most one out-of-bounds claim per participant before the bounds assert
-/// panics.
+/// Scatter one chunk, both directions of each edge, through the cursors
+/// `cur` into `adj` and, in a weighted build, `wgt`. The bounds asserts
+/// keep each claimed slot inside its vertex's counted segment, so a
+/// source that yields more edges in pass 2 than in pass 1 panics instead
+/// of writing into the next vertex's segment; for the same reason a
+/// narrow cursor never passes the total, which fits in `u32`.
 fn scatter_with<E: EdgeItem, C: Word>(
-    policy: &ExecPolicy,
     chunk: &[E],
     xadj: &[usize],
     cur: &mut [C],
     adj: &mut [VId],
     mut wgt: Option<&mut [Weight]>,
 ) {
-    if policy.effective_threads(chunk.len()) <= 1 {
-        let mut claim = |x: usize| {
-            let p = cur[x].to_usize();
-            cur[x] = C::from_usize(p.wrapping_add(1));
-            p
-        };
-        let mut put = |p: usize, id, w| {
-            adj[p] = id;
-            if let Some(wgt) = wgt.as_deref_mut() {
-                wgt[p] = w;
-            }
-        };
-        for &e in chunk {
-            scatter_edge(e, xadj, &mut claim, &mut put);
+    let n = cur.len();
+    for &e in chunk {
+        let (u, v) = e.ends();
+        assert!(
+            (u as usize) < n && (v as usize) < n,
+            "edge endpoint out of range"
+        );
+        if u == v {
+            continue;
         }
-    } else {
-        let cur = C::as_atomic(cur);
-        let adj = as_atomic_u32(adj);
-        let wgt = wgt.map(as_atomic_u64);
-        let put = |p: usize, id, w| {
-            adj[p].store(id, Ordering::Relaxed);
-            if let Some(wgt) = wgt {
-                wgt[p].store(w, Ordering::Relaxed);
+        for (x, y) in [(u, v), (v, u)] {
+            let p = cur[x as usize].to_usize();
+            assert!(
+                p < xadj[x as usize + 1],
+                "edge source changed between passes (vertex {x} overfull)"
+            );
+            cur[x as usize] = C::from_usize(p + 1);
+            adj[p] = y;
+            if let Some(wgt) = wgt.as_deref_mut() {
+                wgt[p] = e.weight();
             }
-        };
-        parallel_for(policy, chunk.len(), |i| {
-            scatter_edge(chunk[i], xadj, |x| C::claim(&cur[x]), put)
-        });
+        }
     }
-}
-
-/// Scatter one edge both ways: `claim(x)` takes vertex `x`'s next slot and
-/// `put(slot, id, weight)` fills it. The bounds asserts keep each claimed
-/// slot inside the vertex's counted segment, so a source that yields more
-/// edges in pass 2 than in pass 1 panics instead of writing into the next
-/// vertex's segment.
-fn scatter_edge<E: EdgeItem>(
-    e: E,
-    xadj: &[usize],
-    mut claim: impl FnMut(usize) -> usize,
-    mut put: impl FnMut(usize, VId, Weight),
-) {
-    let n = xadj.len() - 1;
-    let (u, v) = e.ends();
-    assert!(
-        (u as usize) < n && (v as usize) < n,
-        "edge endpoint out of range"
-    );
-    if u == v {
-        return;
-    }
-    let pu = claim(u as usize);
-    assert!(
-        pu < xadj[u as usize + 1],
-        "edge source changed between passes (vertex {u} overfull)"
-    );
-    let pv = claim(v as usize);
-    assert!(
-        pv < xadj[v as usize + 1],
-        "edge source changed between passes (vertex {v} overfull)"
-    );
-    let w = e.weight();
-    put(pu, v, w);
-    put(pv, u, w);
 }
 
 /// Sort/merge every adjacency in place and compact out the dropped
@@ -570,9 +490,9 @@ fn merge_weighted(
 
 fn build<E: EdgeItem>(policy: &ExecPolicy, n: usize, edges: &[E], mode: MergeMode) -> Csr {
     let mut b = StreamCsrBuilder::new(n, mode);
-    b.count_chunk(policy, edges);
+    b.count_chunk(edges);
     b.begin_scatter(policy);
-    b.scatter_chunk(policy, edges);
+    b.scatter_chunk(edges);
     b.finish(policy)
 }
 
@@ -646,12 +566,12 @@ mod tests {
         for chunk in [1usize, 7, 64, 4096] {
             let mut b = StreamCsrBuilder::new(n, MergeMode::Sum);
             for c in edges.chunks(chunk) {
-                b.count_chunk(&policy, c);
+                b.count_chunk(c);
             }
             b.begin_scatter(&policy);
             // Replay in reverse chunk order: the result must not care.
             for c in edges.chunks(chunk).rev() {
-                b.scatter_chunk(&policy, c);
+                b.scatter_chunk(c);
             }
             let g = b.finish(&policy);
             assert_eq!(g, whole, "chunk size {chunk}");
@@ -663,9 +583,9 @@ mod tests {
     fn pass_mismatch_detected() {
         let policy = ExecPolicy::serial();
         let mut b = StreamCsrBuilder::new(3, MergeMode::Sum);
-        b.count_chunk(&policy, &[(0, 1, 1)]);
+        b.count_chunk(&[(0, 1, 1)]);
         b.begin_scatter(&policy);
-        b.scatter_chunk(&policy, &[(0, 1, 1), (1, 2, 1)]);
+        b.scatter_chunk(&[(0, 1, 1), (1, 2, 1)]);
     }
 
     /// Test-local reference: an ordered map per row, merged edge by edge
@@ -728,11 +648,11 @@ mod tests {
     ) -> Csr {
         let mut b = StreamCsrBuilder::new(n, mode);
         for c in edges.chunks(chunk) {
-            b.count_chunk(policy, c);
+            b.count_chunk(c);
         }
         b.begin_scatter(policy);
         for c in edges.chunks(chunk).rev() {
-            b.scatter_chunk(policy, c);
+            b.scatter_chunk(c);
         }
         b.finish(policy)
     }
@@ -765,9 +685,9 @@ mod tests {
     fn torn_build(policy: &ExecPolicy, count: &[(VId, VId)], scatter: &[(VId, VId)]) -> String {
         let run = || {
             let mut b = StreamCsrBuilder::new(64, MergeMode::Unit);
-            b.count_chunk(policy, count);
+            b.count_chunk(count);
             b.begin_scatter(policy);
-            b.scatter_chunk(policy, scatter);
+            b.scatter_chunk(scatter);
             b.finish(policy)
         };
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))

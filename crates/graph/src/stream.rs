@@ -44,7 +44,8 @@ pub struct IngestOptions {
     /// Edges held in memory at once. The auxiliary footprint of a build is
     /// `chunk_edges × EDGE_ITEM_BYTES` bytes (16 MiB at the default).
     pub chunk_edges: usize,
-    /// Execution policy for the parallel count/scatter/sort phases.
+    /// Execution policy for the offset scan and the per-row sort and
+    /// merge; counting and scattering run on the calling thread.
     pub policy: ExecPolicy,
 }
 
@@ -109,7 +110,7 @@ pub fn build_csr(
         );
         edges_streamed += k as u64;
         chunks += 1;
-        b.count_chunk(&opts.policy, &buf);
+        b.count_chunk(&buf);
     }
 
     b.begin_scatter(&opts.policy);
@@ -119,7 +120,7 @@ pub fn build_csr(
         if k == 0 {
             break;
         }
-        b.scatter_chunk(&opts.policy, &buf);
+        b.scatter_chunk(&buf);
     }
 
     // Release the staging buffer before the sort/merge/compact phase so the
